@@ -19,8 +19,9 @@ print("expected:", list(result.expected_dims))
 print("match:   ", result.match)
 print()
 
-# Over F2[pi] the oracle sees the extra central variable; dimensions now
-# follow the same series divided by (1 - t).
+# Over F2[pi] the relators carry no pi, so the quotient is F2[pi] tensored
+# with the F2 one: each degree sums the F2 slices below it, and the
+# dimensions follow the same series divided by (1 - t).
 result_pi = strongly_free_oracle(relators, 5, ring=F2PI)
 print(result_pi.profile.table())
 print("expected:", list(result_pi.expected_dims))

@@ -13,10 +13,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .arith import BoundExceededError
 from .linking import (
+    DEFAULT_PRIME_BOUND,
     NoEliminableGeneratorError,
     Presentation,
     augment,
@@ -25,8 +25,8 @@ from .linking import (
     linking_data,
 )
 from .mildness import check_mild
-from .oracle import MemoryGuardError, strongly_free_oracle
-from .quadlie import F2, F2PI, WeightedAlphabet, bracket_weight, elimination_basis, enumerate_y, render_bracket
+from .oracle import DEFAULT_MEMORY_CAP_MIB, MemoryGuardError, strongly_free_oracle
+from .quadlie import RINGS, WeightedAlphabet, bracket_weight, elimination_basis, enumerate_y, render_bracket
 from .series import (
     NonRealizableError,
     WeightSignature,
@@ -38,23 +38,14 @@ from .series import (
 )
 
 _EXIT_BY_VERDICT = {"mild": 0, "not_shown": 3, "inapplicable": 4}
-_RINGS = {"f2": F2, "f2pi": F2PI}
-
-
-@dataclass
-class Config:
-    """Defaults shared by the subcommands."""
-
-    max_degree: int = 6
-    prime_bound: int = 10**6
-    memory_cap_mib: int = 1024
-    format: str = "text"
+_RINGS = {ring.lower(): ring for ring in RINGS}
+DEFAULT_MAX_DEGREE = 6
 
 
 def default_memory_cap() -> int:
     raw = os.environ.get("MILD2_MEMORY_CAP_MIB")
     if raw is None:
-        return Config.memory_cap_mib
+        return DEFAULT_MEMORY_CAP_MIB
     try:
         cap = int(raw)
     except ValueError as exc:
@@ -282,14 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("augment", _cmd_augment, fmt="json", help="search for a mild augmentation of a seed")
     p.add_argument("--seed", required=True, help="comma-separated odd primes")
-    p.add_argument("--bound", type=int, default=Config.prime_bound)
+    p.add_argument("--bound", type=int, default=DEFAULT_PRIME_BOUND)
 
     p = add("series", _cmd_series, help="strongly free dimension series of a weight signature")
     p.add_argument("--e", help="generator weights, e.g. 1,1,1,1")
     p.add_argument("--h", help="relator weights, e.g. 2,2,2,2")
     p.add_argument("--d", type=int, help="shorthand: d weight-1 generators")
     p.add_argument("--m", type=int, help="shorthand: m degree-2 relators")
-    p.add_argument("--max", type=int, default=Config.max_degree)
+    p.add_argument("--max", type=int, default=DEFAULT_MAX_DEGREE)
     p.add_argument("--kind", choices=("strongly-free", "gamma"), default="strongly-free")
 
     p = add("dims", _cmd_dims, help="derived dimension sequences")
@@ -298,20 +289,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h")
     p.add_argument("--d", type=int)
     p.add_argument("--m", type=int)
-    p.add_argument("--max", type=int, default=Config.max_degree)
+    p.add_argument("--max", type=int, default=DEFAULT_MAX_DEGREE)
 
     p = add("oracle", _cmd_oracle, help="brute-force quotient dimensions vs the predicted series")
     p.add_argument("--primes")
     p.add_argument("--in", dest="infile")
     p.add_argument("--ring", choices=sorted(_RINGS), default="f2")
-    p.add_argument("--max", type=int, default=Config.max_degree)
+    p.add_argument("--max", type=int, default=DEFAULT_MAX_DEGREE)
     p.add_argument("--memory-cap-mib", type=int, default=cap)
 
     p = add("basis", _cmd_basis, help="basis-word enumerations")
     p.add_argument("--kind", choices=("y", "elimination"), required=True)
     p.add_argument("--weights", required=True, help="letter weights, e.g. 1,1,2")
     p.add_argument("--sigma", help="chain letters for --kind elimination, e.g. 1,2")
-    p.add_argument("--max", type=int, default=Config.max_degree)
+    p.add_argument("--max", type=int, default=DEFAULT_MAX_DEGREE)
 
     p = add("selftest", _cmd_selftest, help="run the acceptance checks")
     p.add_argument("--with-degree-7", action="store_true", help="include the slow degree-7 oracle check")

@@ -24,6 +24,9 @@ from dataclasses import dataclass
 from .arith import BoundExceededError, check_odd_prime, legendre, next_prime_in_class
 
 
+DEFAULT_PRIME_BOUND = 10**6
+
+
 class NoEliminableGeneratorError(ValueError):
     """The presentation has no usable product relation to eliminate with."""
 
@@ -222,45 +225,43 @@ class Presentation:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "Presentation":
+    def from_json_dict(cls, data) -> "Presentation":
         """Rebuild from the JSON form; the relators array is authoritative
-        (a and ell are derived data and ignored on input)."""
+        (a and ell are derived data: only a's length is read, as d).  a,
+        product_relation and primes, when present, must agree on d; without
+        them d is the largest index the relators mention."""
+        if not isinstance(data, dict):
+            raise ValueError("presentation JSON must be an object")
         relators_raw = data.get("relators")
-        if not isinstance(relators_raw, list):
-            raise ValueError("presentation JSON needs a 'relators' array")
-        a = data.get("a")
-        product = data.get("product_relation")
-        primes = data.get("primes")
-        if isinstance(a, list) and a:
-            d = len(a)
-        elif isinstance(product, list) and product:
-            d = len(product)
-        elif isinstance(primes, list) and primes:
-            d = len(primes)
-        else:
-            d = 0
-            for raw in relators_raw:
-                for pair in raw.get("comms", []):
-                    d = max(d, *pair)
-                if raw.get("owner"):
-                    d = max(d, raw["owner"])
-        relators = []
-        for raw in relators_raw:
-            owner = raw.get("owner")
-            squares = [0] * d
-            if raw.get("square"):
-                if not owner:
-                    raise ValueError("a square bit needs an owner index to attach to")
-                squares[owner - 1] = 1
-            relators.append(
-                QuadraticRelator(d, tuple(squares), frozenset(tuple(p) for p in raw.get("comms", [])), owner)
-            )
-        return cls(
-            d,
-            tuple(relators),
-            tuple(product) if product is not None else None,
-            tuple(primes) if primes is not None else None,
-        )
+        if not isinstance(relators_raw, list) or not all(isinstance(r, dict) for r in relators_raw):
+            raise ValueError("presentation JSON needs a 'relators' array of objects")
+        product, primes = data.get("product_relation"), data.get("primes")
+        vectors = [v for v in (data.get("a"), product, primes) if v is not None]
+        if not all(isinstance(v, list) for v in vectors) or len({len(v) for v in vectors}) > 1:
+            raise ValueError("'a', 'product_relation' and 'primes' must be arrays of one length d")
+        parsed, d_seen = [], 0
+        for k, raw in enumerate(relators_raw, 1):
+            owner, square, comms = raw.get("owner"), raw.get("square", 0), raw.get("comms", [])
+            if not isinstance(comms, list) or not all(
+                isinstance(pair, list) and len(pair) == 2 for pair in comms
+            ):
+                raise ValueError(f"relator {k}: comms must be an array of index pairs")
+            indices = [i for pair in comms for i in pair]
+            ints = (square, *indices) if owner is None else (owner, square, *indices)
+            # type() rather than isinstance(): JSON true/false must not pass as 1/0
+            if any(type(i) is not int for i in ints):
+                raise ValueError(f"relator {k}: owner, square and comms entries must be integers")
+            if square and owner is None:
+                raise ValueError("a square bit needs an owner index to attach to")
+            parsed.append((owner, square, comms))
+            d_seen = max(d_seen, owner or 0, *indices)
+        d = len(vectors[0]) if vectors else d_seen
+        # QuadraticRelator checks the square bit is 0/1 and every index is in 1..d
+        relators = [
+            QuadraticRelator(d, [square if i == owner else 0 for i in range(1, d + 1)], comms, owner)
+            for owner, square, comms in parsed
+        ]
+        return cls(d, relators, product, primes)
 
 
 def koch_presentation(primes) -> Presentation:
@@ -477,7 +478,7 @@ def _last_candidates(s0, q_aux: tuple[int, ...], bound: int):
             yield q
 
 
-def augment(seed, bound: int = 10**6) -> AugmentationResult:
+def augment(seed, bound: int = DEFAULT_PRIME_BOUND) -> AugmentationResult:
     """Greedy deterministic search for a mild augmentation of a seed set.
 
     Candidate tuples (q'_1..q'_m, q_last) are scanned in lexicographic order

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 from . import gf2
 from .linking import Presentation, QuadraticRelator, eliminate_generator
+from .oracle import DEFAULT_MEMORY_CAP_MIB, strongly_free_oracle
+from .quadlie import F2
 
 MAX_ENUMERATION_D = 20
 
@@ -174,8 +176,8 @@ def check_mild(
     presentation: Presentation,
     *,
     oracle_depth: int | None = None,
-    oracle_ring: str = "F2",
-    memory_cap_mib: int = 1024,
+    oracle_ring: str = F2,
+    memory_cap_mib: int = DEFAULT_MEMORY_CAP_MIB,
 ) -> MildnessReport:
     """Full pipeline: eliminate through the product relation when one is
     present and nonzero, reject zero relators as inapplicable, then try the
@@ -215,8 +217,6 @@ def check_mild(
             notes.append("oracle skipped: no usable quadratic relators")
             oracle_depth = None
         else:
-            from .oracle import strongly_free_oracle  # runtime import: oracle is heavier
-
             cmp = strongly_free_oracle(
                 relators, oracle_depth, ring=oracle_ring, memory_cap_mib=memory_cap_mib
             )

@@ -2,26 +2,34 @@
 
 For relators rho_1..rho_m in the truncated free algebra, the degree-n slice
 of the two-sided ideal they generate is spanned by the products u * rho * v
-(and pi^k * u * rho * v over F2[pi]) with monomial words u, v.  Each product
-becomes one bit-packed row over the degree-n monomial basis; the quotient
-dimension is the ambient count minus the GF(2) rank.  This is the
-independent check the certificate criteria are compared against: a strongly
-free relator sequence must reproduce
+with monomial words u, v.  Each product becomes one bit-packed row over the
+degree-n word basis; the quotient dimension is the ambient count minus the
+GF(2) rank.  This is the independent check the certificate criteria are
+compared against: a strongly free relator sequence must reproduce
 
     1 / (1 - sum t^{e_i} + sum t^{h_j})        over F2
     the same divided by (1 - t)                over F2[pi]
 
 degree by degree, and any mismatch degree is reported.
+
+Only pi-free relators are accepted, so over F2[pi] the quotient is
+F2[pi] (x) Q with Q the F2 quotient: its degree-n slice is the sum of
+pi^(n-j) Q_j over j <= n.  The F2[pi] profile is therefore the running sum
+of the F2 one, and no F2[pi] matrix is ever built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from . import gf2
-from .quadlie import F2, F2PI, NcPoly, WeightedAlphabet, relator_to_poly, unit_alphabet
+from .quadlie import F2, F2PI, WeightedAlphabet, relator_to_poly, unit_alphabet
 from .series import DimensionSequence, WeightSignature, gamma_series, strongly_free_series
+
+
+DEFAULT_MEMORY_CAP_MIB = 1024
 
 
 class MemoryGuardError(MemoryError):
@@ -101,6 +109,8 @@ def _check_relators(alphabet, relators, ring) -> list[int]:
             raise ValueError(f"relator {k} lives in a different algebra")
         if rel.is_zero:
             raise ValueError(f"relator {k} is zero")
+        if any(pi_exp for pi_exp, _ in rel.terms):
+            raise ValueError(f"relator {k} carries pi; the oracle takes pi-free relators only")
         deg = rel.degree()  # raises on inhomogeneous input
         if deg < 2:
             raise ValueError(f"relator {k} has degree {deg}; relators must have degree >= 2")
@@ -108,18 +118,8 @@ def _check_relators(alphabet, relators, ring) -> list[int]:
     return degrees
 
 
-def _estimate_rows(counts, degrees, ring, n: int) -> int:
-    total = 0
-    for h in degrees:
-        if h > n:
-            continue
-        budget = n - h
-        if ring == F2:
-            total += sum(counts[a] * counts[budget - a] for a in range(budget + 1))
-        else:
-            for k in range(budget + 1):
-                total += sum(counts[a] * counts[budget - k - a] for a in range(budget - k + 1))
-    return total
+def _estimate_rows(counts, degrees, n: int) -> int:
+    return sum(counts[a] * counts[n - h - a] for h in degrees for a in range(n - h + 1))
 
 
 def quotient_dims(
@@ -128,14 +128,16 @@ def quotient_dims(
     n_max: int,
     ring: str = F2,
     *,
-    memory_cap_mib: int = 1024,
+    memory_cap_mib: int = DEFAULT_MEMORY_CAP_MIB,
 ) -> RankProfile:
     """Graded dimensions of the quotient by the two-sided ideal (rho_1..rho_m)
     for degrees 0..n_max, with the rank bookkeeping per degree.
 
-    Relators must be nonzero, homogeneous of degree >= 2, and all in the same
-    truncated algebra.  Row storage is estimated per degree before anything
-    is allocated; crossing memory_cap_mib raises MemoryGuardError.
+    Relators must be nonzero, pi-free, homogeneous of degree >= 2, and all in
+    the same truncated algebra.  Rows are built over the word basis only;
+    over F2[pi] every column of the profile is the running sum of the F2
+    one.  Row storage is estimated per degree before anything is allocated;
+    crossing memory_cap_mib raises MemoryGuardError.
     """
     relators = tuple(relators)
     if n_max < 0:
@@ -144,39 +146,29 @@ def quotient_dims(
     counts = word_counts(alphabet, n_max)
     cap_bytes = memory_cap_mib * 2**20
     for n in range(n_max + 1):
-        ambient = counts[n] if ring == F2 else sum(counts[: n + 1])
-        n_words = max(1, (ambient + 63) >> 6)
-        estimate = _estimate_rows(counts, degrees, ring, n) * n_words * 8
+        n_words = max(1, (counts[n] + 63) >> 6)
+        estimate = _estimate_rows(counts, degrees, n) * n_words * 8
         if estimate > cap_bytes:
             raise MemoryGuardError(
                 f"degree {n} needs about {estimate >> 20} MiB of rows,"
                 f" above the {memory_cap_mib} MiB cap"
             )
-    profile = []
+    ranks = []
     for n in range(n_max + 1):
-        if ring == F2:
-            ambient_monos = [(0, w) for w in words_of_weight(alphabet, n)]
-        else:
-            ambient_monos = [
-                (k, w) for k in range(n + 1) for w in words_of_weight(alphabet, n - k)
-            ]
-        index = {mono: col for col, mono in enumerate(ambient_monos)}
+        index = {word: col for col, word in enumerate(words_of_weight(alphabet, n))}
         rows = []
         for rel, h in zip(relators, degrees):
-            if h > n:
-                continue
-            budget = n - h
-            pi_range = range(budget + 1) if ring == F2PI else None
-            for kp in pi_range if pi_range is not None else (0,):
-                for a in range(budget - kp + 1):
-                    for u in words_of_weight(alphabet, a):
-                        for v in words_of_weight(alphabet, budget - kp - a):
-                            rows.append(
-                                [index[(kp + kr, u + w + v)] for kr, w in rel.terms]
-                            )
-        rank = gf2.rank(gf2.pack_rows(rows, len(ambient_monos)), copy=False)
-        profile.append(DegreeRank(n, len(ambient_monos), rank, len(ambient_monos) - rank))
-    return RankProfile(ring, tuple(profile))
+            for a in range(n - h + 1):
+                for u in words_of_weight(alphabet, a):
+                    for v in words_of_weight(alphabet, n - h - a):
+                        rows.append([index[u + w + v] for _, w in rel.terms])
+        ranks.append(gf2.rank(gf2.pack_rows(rows, counts[n]), copy=False))
+    if ring == F2PI:
+        counts, ranks = list(accumulate(counts)), list(accumulate(ranks))
+    return RankProfile(
+        ring,
+        tuple(DegreeRank(n, counts[n], ranks[n], counts[n] - ranks[n]) for n in range(n_max + 1)),
+    )
 
 
 def independent_in_degree(polys) -> int:
@@ -235,7 +227,7 @@ def strongly_free_oracle(
     ring: str = F2,
     *,
     d: int | None = None,
-    memory_cap_mib: int = 1024,
+    memory_cap_mib: int = DEFAULT_MEMORY_CAP_MIB,
 ) -> OracleComparison:
     """Compare brute-force quotient dimensions of quadratic relators against
     the strongly free prediction (gamma variant over F2[pi]).

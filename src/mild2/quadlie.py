@@ -28,7 +28,7 @@ from typing import Union
 
 F2 = "F2"
 F2PI = "F2pi"
-_RINGS = (F2, F2PI)
+RINGS = (F2, F2PI)
 
 
 class TruncationError(ValueError):
@@ -106,8 +106,8 @@ class NcPoly:
     terms: frozenset
 
     def __post_init__(self):
-        if self.ring not in _RINGS:
-            raise ValueError(f"ring must be one of {_RINGS}, got {self.ring!r}")
+        if self.ring not in RINGS:
+            raise ValueError(f"ring must be one of {RINGS}, got {self.ring!r}")
         if self.n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {self.n_max}")
         object.__setattr__(self, "terms", frozenset(self.terms))
@@ -187,10 +187,6 @@ def _check_compatible(u: NcPoly, v: NcPoly) -> None:
         raise ValueError(f"ring mismatch: {u.ring} vs {v.ring}")
     if u.n_max != v.n_max:
         raise ValueError(f"truncation mismatch: {u.n_max} vs {v.n_max}")
-
-
-def add(u: NcPoly, v: NcPoly) -> NcPoly:
-    return u + v
 
 
 def mul(u: NcPoly, v: NcPoly, *, strict: bool = False) -> NcPoly:

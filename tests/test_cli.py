@@ -122,6 +122,23 @@ def test_missing_file_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "blob",
+    [
+        {"relators": [1]},
+        [],
+        {"relators": [{"owner": 1, "square": 0, "comms": [["a", "b"]]}]},
+        {"relators": [{"owner": 9, "square": 1, "comms": []}], "a": [0, 1]},
+    ],
+)
+def test_malformed_presentation_json_exit_2(tmp_path, blob):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(blob))
+    code, err = run_err(["check-mild", "--in", str(path)])
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_series_and_dims_text():
     code, out = run(["series", "--kind", "strongly-free", "--e", "1,1,1,1", "--h", "2,2,2,2", "--max", "6"])
     assert code == 0

@@ -1,5 +1,6 @@
 """Brute-force quotient oracle: word enumeration, GF(2) ranks, series checks."""
 
+import itertools
 import random
 
 import numpy as np
@@ -16,7 +17,7 @@ from mild2.oracle import (
     word_counts,
     words_of_weight,
 )
-from mild2.quadlie import F2, F2PI, NcPoly, WeightedAlphabet, relator_to_poly, unit_alphabet
+from mild2.quadlie import F2, F2PI, NcPoly, WeightedAlphabet, mul, pi_mul, relator_to_poly, unit_alphabet
 
 EX1 = (41, 13, 5, 3, 19)
 EX2 = (5, 29, 7, 11, 3)
@@ -119,6 +120,55 @@ def test_quotient_dims_memory_guard():
         quotient_dims(unit_alphabet(4), reduced_polys(EX1), 6, memory_cap_mib=1)
     # generous cap passes
     quotient_dims(unit_alphabet(4), reduced_polys(EX1), 3, memory_cap_mib=64)
+
+
+def pi_span_reference(primes, n_max):
+    """F2[pi] profile by spanning pi^k * u * rho * v with NcPoly arithmetic."""
+    alphabet = unit_alphabet(4)
+    polys = reduced_polys(primes, ring=F2PI, n_max=n_max)
+
+    def word(w):
+        return NcPoly(alphabet, F2PI, n_max, {(0, w)})
+
+    profile = []
+    for n in range(n_max + 1):
+        products = []
+        for rho in polys:
+            for k in range(n - 1):
+                for a in range(n - 1 - k):
+                    for u in itertools.product(range(1, 5), repeat=a):
+                        for v in itertools.product(range(1, 5), repeat=n - 2 - k - a):
+                            product = mul(mul(word(u), rho), word(v))
+                            for _ in range(k):
+                                product = pi_mul(product)
+                            products.append(product)
+        ambient = sum(4**j for j in range(n + 1))
+        rank = independent_in_degree(products)
+        profile.append((n, ambient, rank, ambient - rank))
+    return profile
+
+
+def test_f2pi_profile_matches_pi_span_reference():
+    for primes in (EX1, EX2):
+        polys = reduced_polys(primes, ring=F2PI, n_max=4)
+        profile = quotient_dims(unit_alphabet(4), polys, 4, ring=F2PI)
+        got = [(row.degree, row.ambient, row.rank, row.quotient) for row in profile.per_degree]
+        assert got == pi_span_reference(primes, 4)
+
+
+def test_quotient_dims_rejects_pi_bearing_relators():
+    alphabet = unit_alphabet(2)
+    x1, x2 = (NcPoly.generator(alphabet, i, F2PI, 3) for i in (1, 2))
+    with pytest.raises(ValueError, match="carries pi"):
+        quotient_dims(alphabet, [mul(x1, x2) + pi_mul(x1)], 3, ring=F2PI)
+
+
+def test_f2pi_memory_guard_sizes_the_f2_matrix():
+    # the degree-6 F2 matrix is about 2.5 MiB; an F2[pi] matrix would be about 4
+    profile = quotient_dims(
+        unit_alphabet(4), reduced_polys(EX1, ring=F2PI), 6, ring=F2PI, memory_cap_mib=3
+    )
+    assert profile.dims().values == (1, 5, 17, 49, 129, 321, 769)
 
 
 def test_strongly_free_oracle_examples_match():
