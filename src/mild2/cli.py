@@ -4,14 +4,13 @@ Subcommands: linking, present, reduce, check-mild, augment, series, dims,
 oracle, basis, selftest.  Exit codes: 0 success (and mild verdicts),
 2 input errors, 3 not_shown, 4 inapplicable, 5 resource-guard stops
 (memory cap, exhausted search bound); the oracle subcommand exits 1 on a
-dimension mismatch.  MILD2_MEMORY_CAP_MIB overrides the default memory cap.
+dimension mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .arith import BoundExceededError
@@ -42,16 +41,13 @@ _RINGS = {ring.lower(): ring for ring in RINGS}
 DEFAULT_MAX_DEGREE = 6
 
 
-def default_memory_cap() -> int:
-    raw = os.environ.get("MILD2_MEMORY_CAP_MIB")
-    if raw is None:
-        return DEFAULT_MEMORY_CAP_MIB
+def _memory_cap(text: str) -> int:
     try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"MILD2_MEMORY_CAP_MIB must be an integer, got {raw!r}") from exc
+        cap = int(text)
+    except ValueError:
+        cap = 0
     if cap < 1:
-        raise ValueError(f"MILD2_MEMORY_CAP_MIB must be >= 1, got {cap}")
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return cap
 
 
@@ -238,12 +234,11 @@ def _cmd_basis(args) -> int:
 def _cmd_selftest(args) -> int:
     from .acceptance import run_all
 
-    ok = run_all(stream=sys.stdout, include_optional=args.with_degree_7)
+    ok = run_all(stream=sys.stdout)
     return 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
-    cap = default_memory_cap()
     parser = argparse.ArgumentParser(prog="mild2", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -269,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile")
     p.add_argument("--oracle-depth", type=int, default=None)
     p.add_argument("--ring", choices=sorted(_RINGS), default="f2")
-    p.add_argument("--memory-cap-mib", type=int, default=cap)
+    p.add_argument("--memory-cap-mib", type=_memory_cap, default=DEFAULT_MEMORY_CAP_MIB)
 
     p = add("augment", _cmd_augment, fmt="json", help="search for a mild augmentation of a seed")
     p.add_argument("--seed", required=True, help="comma-separated odd primes")
@@ -296,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile")
     p.add_argument("--ring", choices=sorted(_RINGS), default="f2")
     p.add_argument("--max", type=int, default=DEFAULT_MAX_DEGREE)
-    p.add_argument("--memory-cap-mib", type=int, default=cap)
+    p.add_argument("--memory-cap-mib", type=_memory_cap, default=DEFAULT_MEMORY_CAP_MIB)
 
     p = add("basis", _cmd_basis, help="basis-word enumerations")
     p.add_argument("--kind", choices=("y", "elimination"), required=True)
@@ -304,19 +299,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", help="chain letters for --kind elimination, e.g. 1,2")
     p.add_argument("--max", type=int, default=DEFAULT_MAX_DEGREE)
 
-    p = add("selftest", _cmd_selftest, help="run the acceptance checks")
-    p.add_argument("--with-degree-7", action="store_true", help="include the slow degree-7 oracle check")
+    add("selftest", _cmd_selftest, help="run the acceptance checks")
 
     return parser
 
 
 def main(argv=None) -> int:
-    try:
-        parser = build_parser()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, NoEliminableGeneratorError, OSError, json.JSONDecodeError) as exc:

@@ -1,73 +1,50 @@
-"""Bit-packed linear algebra over GF(2).
+"""Linear algebra over GF(2) on Python-int rows.
 
-Rows are packed 64 columns per numpy uint64 word; rank is computed by plain
-Gaussian elimination with vectorized row updates.  One engine serves every
-caller in the package, from 4x4 toy matrices up to the brute-force ideal
-slices with tens of thousands of rows.
+A row is a Python int whose bit c is column c, so adding two rows is one
+XOR however wide they are.  Rank is plain Gaussian elimination against a
+table of pivot rows keyed by their highest set bit: every incoming row is
+reduced until it is zero or its top bit starts a new pivot.  Rows are
+consumed one at a time, so only the pivot table stays in memory.  One
+engine serves every caller in the package, from 4x4 toy matrices up to the
+brute-force ideal slices with tens of thousands of rows.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-
-import numpy as np
-
-_BIT = np.array([1 << b for b in range(64)], dtype=np.uint64)
+from collections.abc import Iterable, Iterator
 
 
-def pack_rows(rows: Sequence[Iterable[int]], n_cols: int) -> np.ndarray:
-    """Pack rows, each given as an iterable of set-column indices.
+def pack_rows(rows: Iterable[Iterable[int]], n_cols: int) -> Iterator[int]:
+    """Yield each row, given as an iterable of set-column indices, as an int.
 
-    Repeated column indices within one row toggle (GF(2) semantics).  Returns
-    a (len(rows), ceil(n_cols/64)) uint64 matrix; at least one word wide so
-    the empty case stays well-shaped.
+    Repeated column indices within one row toggle (GF(2) semantics).  Rows
+    are read and packed lazily, as the consumer asks for them.
     """
     if n_cols < 0:
         raise ValueError("n_cols must be nonnegative")
-    n_words = max(1, (n_cols + 63) >> 6)
-    out = np.zeros((len(rows), n_words), dtype=np.uint64)
-    for r, cols in enumerate(rows):
-        row = out[r]
+    for cols in rows:
+        row = 0
         for c in cols:
             if not 0 <= c < n_cols:
                 raise IndexError(f"column {c} out of range 0..{n_cols - 1}")
-            row[c >> 6] ^= _BIT[c & 63]
-    return out
+            row ^= 1 << c
+        yield row
 
 
-def rank(matrix: np.ndarray, *, copy: bool = True) -> int:
-    """GF(2) rank of a bit-packed row matrix, as produced by pack_rows.
-
-    With copy=False the input is consumed (reduced in place), which avoids a
-    second allocation on the large matrices the ideal oracle builds.
-    """
-    if matrix.ndim != 2 or matrix.dtype != np.uint64:
-        raise ValueError("expected a 2-d uint64 matrix")
-    if matrix.size == 0:
-        return 0
-    m = matrix.copy() if copy else matrix
-    n_rows, n_words = m.shape
-    r = 0
-    for word in range(n_words):
-        for bit in range(64):
-            mask = _BIT[bit]
-            nz = np.nonzero(m[r:, word] & mask)[0]
-            if nz.size == 0:
-                continue
-            p = r + int(nz[0])
-            if p != r:
-                m[[r, p]] = m[[p, r]]
-            # Rows past the swapped pivot keep their positions: nz is sorted,
-            # so every index in nz[1:] lies strictly beyond the old pivot slot.
-            elim = nz[1:] + r
-            if elim.size:
-                m[elim] ^= m[r]
-            r += 1
-            if r == n_rows:
-                return r
-    return r
+def rank(rows: Iterable[int]) -> int:
+    """GF(2) rank of int rows, as produced by pack_rows."""
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row:
+            top = row.bit_length() - 1
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = row
+                break
+            row ^= pivot
+    return len(pivots)
 
 
-def rank_of_rows(rows: Sequence[Iterable[int]], n_cols: int) -> int:
-    """Convenience wrapper: pack index rows and return their GF(2) rank."""
-    return rank(pack_rows(rows, n_cols), copy=False)
+def rank_of_rows(rows: Iterable[Iterable[int]], n_cols: int) -> int:
+    """GF(2) rank of rows given as iterables of set-column indices."""
+    return rank(pack_rows(rows, n_cols))

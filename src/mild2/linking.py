@@ -239,6 +239,14 @@ class Presentation:
         vectors = [v for v in (data.get("a"), product, primes) if v is not None]
         if not all(isinstance(v, list) for v in vectors) or len({len(v) for v in vectors}) > 1:
             raise ValueError("'a', 'product_relation' and 'primes' must be arrays of one length d")
+        # type() rather than isinstance(): JSON true/false must not pass as 1/0
+        if product is not None and any(type(b) is not int or b not in (0, 1) for b in product):
+            raise ValueError("'product_relation' entries must be the integers 0 or 1")
+        if primes is not None:
+            for p in primes:
+                check_odd_prime(p, "'primes' entry")  # also refuses non-integers and booleans
+            if len(set(primes)) != len(primes):
+                raise ValueError(f"'primes' entries must be distinct, got {primes}")
         parsed, d_seen = [], 0
         for k, raw in enumerate(relators_raw, 1):
             owner, square, comms = raw.get("owner"), raw.get("square", 0), raw.get("comms", [])
@@ -248,7 +256,6 @@ class Presentation:
                 raise ValueError(f"relator {k}: comms must be an array of index pairs")
             indices = [i for pair in comms for i in pair]
             ints = (square, *indices) if owner is None else (owner, square, *indices)
-            # type() rather than isinstance(): JSON true/false must not pass as 1/0
             if any(type(i) is not int for i in ints):
                 raise ValueError(f"relator {k}: owner, square and comms entries must be integers")
             if square and owner is None:
@@ -357,9 +364,9 @@ def normalize_seed(seed) -> tuple[int, ...]:
     class1 = [p for p in ps if p % 4 == 1]
     class3 = [p for p in ps if p % 4 == 3]
     if not class1:
-        class1 = [next_prime_in_class(3, 1, 4, avoid=ps, bound=10**6)]
+        class1 = [next_prime_in_class(3, 1, 4, avoid=ps, bound=DEFAULT_PRIME_BOUND)]
     if not class3:
-        class3 = [next_prime_in_class(3, 3, 4, avoid=ps, bound=10**6)]
+        class3 = [next_prime_in_class(3, 3, 4, avoid=ps, bound=DEFAULT_PRIME_BOUND)]
     return tuple(class1 + class3)
 
 

@@ -2,10 +2,11 @@
 
 For relators rho_1..rho_m in the truncated free algebra, the degree-n slice
 of the two-sided ideal they generate is spanned by the products u * rho * v
-with monomial words u, v.  Each product becomes one bit-packed row over the
-degree-n word basis; the quotient dimension is the ambient count minus the
-GF(2) rank.  This is the independent check the certificate criteria are
-compared against: a strongly free relator sequence must reproduce
+with monomial words u, v.  Each product becomes one GF(2) row over the
+degree-n word basis, streamed into the rank one row at a time; the quotient
+dimension is the ambient count minus the rank.  This is the independent
+check the certificate criteria are compared against: a strongly free
+relator sequence must reproduce
 
     1 / (1 - sum t^{e_i} + sum t^{h_j})        over F2
     the same divided by (1 - t)                over F2[pi]
@@ -136,8 +137,8 @@ def quotient_dims(
     Relators must be nonzero, pi-free, homogeneous of degree >= 2, and all in
     the same truncated algebra.  Rows are built over the word basis only;
     over F2[pi] every column of the profile is the running sum of the F2
-    one.  Row storage is estimated per degree before anything is allocated;
-    crossing memory_cap_mib raises MemoryGuardError.
+    one.  The bit-packed size of each degree's rows is estimated before any
+    row is built; crossing memory_cap_mib raises MemoryGuardError.
     """
     relators = tuple(relators)
     if n_max < 0:
@@ -156,13 +157,14 @@ def quotient_dims(
     ranks = []
     for n in range(n_max + 1):
         index = {word: col for col, word in enumerate(words_of_weight(alphabet, n))}
-        rows = []
-        for rel, h in zip(relators, degrees):
-            for a in range(n - h + 1):
-                for u in words_of_weight(alphabet, a):
-                    for v in words_of_weight(alphabet, n - h - a):
-                        rows.append([index[u + w + v] for _, w in rel.terms])
-        ranks.append(gf2.rank(gf2.pack_rows(rows, counts[n]), copy=False))
+        rows = (
+            [index[u + w + v] for _, w in rel.terms]
+            for rel, h in zip(relators, degrees)
+            for a in range(n - h + 1)
+            for u in words_of_weight(alphabet, a)
+            for v in words_of_weight(alphabet, n - h - a)
+        )
+        ranks.append(gf2.rank_of_rows(rows, counts[n]))
     if ring == F2PI:
         counts, ranks = list(accumulate(counts)), list(accumulate(ranks))
     return RankProfile(

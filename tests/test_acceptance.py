@@ -1,11 +1,7 @@
 """Acceptance gate: one test per criterion, printing one PASS/FAIL line each.
 
-Run with -s (or read the captured output) to see the lines.  The optional
-degree-7 oracle check runs only when MILD2_ORACLE_DEGREE7 is set, matching
-the selftest subcommand's --with-degree-7 flag.
+Run with -s (or read the captured output) to see the lines.
 """
-
-import os
 
 import pytest
 
@@ -23,21 +19,11 @@ def test_acceptance_criterion(criterion):
     assert result.ok, result.detail
 
 
-@pytest.mark.skipif(
-    not os.environ.get("MILD2_ORACLE_DEGREE7"),
-    reason="set MILD2_ORACLE_DEGREE7=1 to run the optional degree-7 oracle check",
-)
-def test_acceptance_optional_degree_7():
-    result = acceptance.criterion_4_degree7()
-    print(result.line())
-    assert result.ok, result.detail
-
-
 def test_run_all_aggregates(capsys):
     # the programmatic entry point used by the selftest subcommand
     import sys
 
-    ok = acceptance.run_all(stream=sys.stdout, include_optional=False)
+    ok = acceptance.run_all(stream=sys.stdout)
     captured = capsys.readouterr()
     lines = [ln for ln in captured.out.splitlines() if ln]
     assert ok is True

@@ -2,12 +2,15 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import mild2
 from mild2 import cli
 from mild2.acceptance import (
     GOLDEN_EX1_PRESENT,
@@ -129,6 +132,9 @@ def test_missing_file_exit_2(tmp_path):
         [],
         {"relators": [{"owner": 1, "square": 0, "comms": [["a", "b"]]}]},
         {"relators": [{"owner": 9, "square": 1, "comms": []}], "a": [0, 1]},
+        {"relators": [], "primes": ["foo", "bar"], "product_relation": [0, 1]},
+        {"relators": [], "product_relation": ["1", 1]},
+        {"relators": [], "product_relation": ["x", 1]},
     ],
 )
 def test_malformed_presentation_json_exit_2(tmp_path, blob):
@@ -203,15 +209,13 @@ def test_oracle_f2pi_ring():
     assert code == 0 and "ring = F2pi" in out
 
 
-def test_memory_cap_flag_and_env(monkeypatch):
+def test_memory_cap_flag_and_env():
     code, err = run_err(["oracle", "--primes", EX1, "--max", "6", "--memory-cap-mib", "1"])
     assert code == 5 and "cap" in err
-    monkeypatch.setenv("MILD2_MEMORY_CAP_MIB", "1")
-    code, _ = run(["oracle", "--primes", EX1, "--max", "6"])
-    assert code == 5
-    monkeypatch.setenv("MILD2_MEMORY_CAP_MIB", "not-a-number")
-    code, _ = run(["oracle", "--primes", EX1, "--max", "3"])
-    assert code == 2
+    # a cap below 1 MiB is an input error, not a guard stop
+    with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
+        cli.main(["oracle", "--primes", EX1, "--max", "6", "--memory-cap-mib", "0"])
+    assert exc.value.code == 2
 
 
 def test_augment_json_and_bound_exit():
@@ -243,6 +247,28 @@ def test_argparse_rejects_unknown_subcommand():
         text=True,
     )
     assert proc.returncode == 2
+
+
+def test_check_mild_with_oracle_runs_on_the_standard_library_alone():
+    # -S keeps site-packages off sys.path, so no third-party package can load
+    src = str(Path(mild2.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "mild2.cli", "check-mild", "--primes", EX1, "--oracle-depth", "6"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "verdict": "mild",
+        "criterion": "circuit",
+        "witness": {"S": [1, 3], "Sp": [2, 4]},
+        "oracle_depth": 6,
+        "notes": [
+            "eliminated x5 (prime 19); d: 5 -> 4",
+            "oracle(F2): dimensions match through degree 6",
+        ],
+    }
 
 
 def test_console_entry_point_runs():

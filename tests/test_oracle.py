@@ -3,7 +3,6 @@
 import itertools
 import random
 
-import numpy as np
 import pytest
 
 from mild2 import gf2
@@ -34,17 +33,28 @@ def reduced_polys(primes, ring=F2, n_max=6):
 
 def test_gf2_pack_and_rank_small():
     rows = [(0,), (1,), (0, 1)]
-    packed = gf2.pack_rows(rows, 2)
-    assert packed.shape == (3, 1) and packed.dtype == np.uint64
+    packed = list(gf2.pack_rows(rows, 2))
+    assert packed == [0b01, 0b10, 0b11]
     assert gf2.rank(packed) == 2
     assert gf2.rank_of_rows([], 5) == 0
     assert gf2.rank_of_rows([()], 5) == 0  # a zero row
 
 
+def test_gf2_repeated_index_toggles_its_bit():
+    assert list(gf2.pack_rows([(0, 3, 0), (2, 2, 2)], 4)) == [0b1000, 0b0100]
+    assert gf2.rank_of_rows([(1, 1)], 2) == 0
+
+
+@pytest.mark.parametrize("column", [-1, 5, 64])
+def test_gf2_out_of_range_column_raises(column):
+    with pytest.raises(IndexError, match="out of range"):
+        gf2.rank_of_rows([(0,), (1, column)], 5)
+
+
 def test_gf2_rank_matches_dense_elimination():
     rng = random.Random(19)
-    for _ in range(40):
-        m, n = rng.randint(1, 12), rng.randint(1, 130)  # crosses the 64-bit word edge
+    for _ in range(60):
+        m, n = rng.randint(1, 24), rng.randint(1, 200)
         dense = [[rng.randint(0, 1) for _ in range(n)] for _ in range(m)]
         rows = [tuple(j for j, bit in enumerate(row) if bit) for row in dense]
         assert gf2.rank_of_rows(rows, n) == dense_gf2_rank(dense)
@@ -66,10 +76,12 @@ def dense_gf2_rank(rows):
 
 
 def test_gf2_rank_preserves_input_by_default():
-    packed = gf2.pack_rows([(0,), (0, 1)], 2)
-    before = packed.copy()
+    rows = [[0], [0, 1], [1]]
+    gf2.rank_of_rows(rows, 2)
+    assert rows == [[0], [0, 1], [1]]
+    packed = list(gf2.pack_rows(rows, 2))
     gf2.rank(packed)
-    assert np.array_equal(packed, before)
+    assert packed == [0b01, 0b11, 0b10]
 
 
 def test_words_of_weight_counts():
