@@ -27,7 +27,7 @@ from .linking import (
     validate_augmentation,
 )
 from .mildness import check_mild, find_mild_partition
-from .oracle import independent_in_degree, strongly_free_oracle, words_of_weight
+from .oracle import independent_in_degree, strongly_free_oracle
 from .quadlie import (
     F2,
     F2PI,
@@ -335,7 +335,7 @@ def criterion_9() -> CriterionResult:
                 return NcPoly.from_monomials(alphabet, ring, n_max, [(0, (i,)) for i in picks])
 
     def random_homogeneous(ring, degree):
-        words = words_of_weight(alphabet, degree)
+        words = list(itertools.product(range(1, 5), repeat=degree))
         picks = rng.sample(words, k=min(len(words), rng.randint(1, 4)))
         return NcPoly.from_monomials(alphabet, ring, n_max, [(0, w) for w in picks])
 

@@ -227,9 +227,9 @@ class Presentation:
     @classmethod
     def from_json_dict(cls, data) -> "Presentation":
         """Rebuild from the JSON form; the relators array is authoritative
-        (a and ell are derived data: only a's length is read, as d).  a,
-        product_relation and primes, when present, must agree on d; without
-        them d is the largest index the relators mention."""
+        (a and ell are derived data: only a's length is read).  d is the
+        length of a, product_relation or primes: at least one must be
+        present, and those present must agree on d."""
         if not isinstance(data, dict):
             raise ValueError("presentation JSON must be an object")
         relators_raw = data.get("relators")
@@ -237,6 +237,8 @@ class Presentation:
             raise ValueError("presentation JSON needs a 'relators' array of objects")
         product, primes = data.get("product_relation"), data.get("primes")
         vectors = [v for v in (data.get("a"), product, primes) if v is not None]
+        if not vectors:
+            raise ValueError("presentation JSON needs an 'a', 'product_relation' or 'primes' array for d")
         if not all(isinstance(v, list) for v in vectors) or len({len(v) for v in vectors}) > 1:
             raise ValueError("'a', 'product_relation' and 'primes' must be arrays of one length d")
         # type() rather than isinstance(): JSON true/false must not pass as 1/0
@@ -247,7 +249,8 @@ class Presentation:
                 check_odd_prime(p, "'primes' entry")  # also refuses non-integers and booleans
             if len(set(primes)) != len(primes):
                 raise ValueError(f"'primes' entries must be distinct, got {primes}")
-        parsed, d_seen = [], 0
+        d = len(vectors[0])
+        relators = []
         for k, raw in enumerate(relators_raw, 1):
             owner, square, comms = raw.get("owner"), raw.get("square", 0), raw.get("comms", [])
             if not isinstance(comms, list) or not all(
@@ -260,14 +263,9 @@ class Presentation:
                 raise ValueError(f"relator {k}: owner, square and comms entries must be integers")
             if square and owner is None:
                 raise ValueError("a square bit needs an owner index to attach to")
-            parsed.append((owner, square, comms))
-            d_seen = max(d_seen, owner or 0, *indices)
-        d = len(vectors[0]) if vectors else d_seen
-        # QuadraticRelator checks the square bit is 0/1 and every index is in 1..d
-        relators = [
-            QuadraticRelator(d, [square if i == owner else 0 for i in range(1, d + 1)], comms, owner)
-            for owner, square, comms in parsed
-        ]
+            # QuadraticRelator checks the square bit is 0/1 and every index is in 1..d
+            squares = [square if i == owner else 0 for i in range(1, d + 1)]
+            relators.append(QuadraticRelator(d, squares, comms, owner))
         return cls(d, relators, product, primes)
 
 

@@ -1,17 +1,22 @@
 """Brute-force graded dimensions of relator-ideal quotients.
 
-For relators rho_1..rho_m in the truncated free algebra, the degree-n slice
-of the two-sided ideal they generate is spanned by the products u * rho * v
-with monomial words u, v.  Each product becomes one GF(2) row over the
-degree-n word basis, streamed into the rank one row at a time; the quotient
-dimension is the ambient count minus the rank.  This is the independent
-check the certificate criteria are compared against: a strongly free
-relator sequence must reproduce
+For relators rho_1..rho_m in the truncated free algebra on d letters of
+weight 1, the degree-n slice of the two-sided ideal they generate is spanned
+by the products u * rho * v with monomial words u, v.  Each product becomes
+one GF(2) row over the d^n words of degree n, streamed into the rank one row
+at a time; the quotient dimension is the ambient count minus the rank.  This
+is the independent check the certificate criteria are compared against: a
+strongly free relator sequence must reproduce
 
     1 / (1 - sum t^{e_i} + sum t^{h_j})        over F2
     the same divided by (1 - t)                over F2[pi]
 
 degree by degree, and any mismatch degree is reported.
+
+A word is indexed by its base-d numeral, letter i being digit i - 1, so the
+column order is the lexicographic order of the words.  The product u * w * v
+with |w| = h and |v| = b sits at column u * d^(h+b) + w * d^b + v, so rows
+are built by arithmetic and no word list is ever materialised.
 
 Only pi-free relators are accepted, so over F2[pi] the quotient is
 F2[pi] (x) Q with Q the F2 quotient: its degree-n slice is the sum of
@@ -22,11 +27,10 @@ of the F2 one, and no F2[pi] matrix is ever built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 
 from . import gf2
-from .quadlie import F2, F2PI, WeightedAlphabet, relator_to_poly, unit_alphabet
+from .quadlie import F2, F2PI, relator_to_poly, unit_alphabet
 from .series import DimensionSequence, WeightSignature, gamma_series, strongly_free_series
 
 
@@ -35,33 +39,6 @@ DEFAULT_MEMORY_CAP_MIB = 1024
 
 class MemoryGuardError(MemoryError):
     """The estimated row storage for a degree exceeds the configured cap."""
-
-
-@lru_cache(maxsize=None)
-def _words(weights: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
-    if n == 0:
-        return ((),)
-    out = []
-    for i, w in enumerate(weights, start=1):
-        if w <= n:
-            out.extend((i,) + rest for rest in _words(weights, n - w))
-    return tuple(out)
-
-
-def words_of_weight(alphabet: WeightedAlphabet, n: int) -> tuple[tuple[int, ...], ...]:
-    """All words of total weight n, in lexicographic order."""
-    if n < 0:
-        raise ValueError("weight must be nonnegative")
-    return _words(alphabet.weights, n)
-
-
-def word_counts(alphabet: WeightedAlphabet, n_max: int) -> list[int]:
-    """Number of words of each weight 0..n_max (no materialization)."""
-    counts = [0] * (n_max + 1)
-    counts[0] = 1
-    for n in range(1, n_max + 1):
-        counts[n] = sum(counts[n - w] for w in alphabet.weights if w <= n)
-    return counts
 
 
 @dataclass(frozen=True)
@@ -119,52 +96,63 @@ def _check_relators(alphabet, relators, ring) -> list[int]:
     return degrees
 
 
-def _estimate_rows(counts, degrees, n: int) -> int:
-    return sum(counts[a] * counts[n - h - a] for h in degrees for a in range(n - h + 1))
+def _numeral(word: tuple[int, ...], d: int) -> int:
+    col = 0
+    for letter in word:
+        col = col * d + letter - 1
+    return col
+
+
+def _ideal_rows(d: int, relators, degrees, n: int):
+    """Column lists of u * rho * v in degree n: relator, then |u| ascending,
+    then u and v in lexicographic order."""
+    for rel, h in zip(relators, degrees):
+        cols = [_numeral(word, d) for _, word in rel.terms]
+        for a in range(n - h + 1):
+            v_count = d ** (n - h - a)
+            mids = [c * v_count for c in cols]
+            for u in range(0, d**n, d ** (n - a)):
+                for v in range(v_count):
+                    yield [u + m + v for m in mids]
 
 
 def quotient_dims(
-    alphabet: WeightedAlphabet,
+    d: int,
     relators,
     n_max: int,
     ring: str = F2,
     *,
     memory_cap_mib: int = DEFAULT_MEMORY_CAP_MIB,
 ) -> RankProfile:
-    """Graded dimensions of the quotient by the two-sided ideal (rho_1..rho_m)
-    for degrees 0..n_max, with the rank bookkeeping per degree.
+    """Graded dimensions of the quotient of the free algebra on d letters of
+    weight 1 by the two-sided ideal (rho_1..rho_m), for degrees 0..n_max,
+    with the rank bookkeeping per degree.
 
     Relators must be nonzero, pi-free, homogeneous of degree >= 2, and all in
-    the same truncated algebra.  Rows are built over the word basis only;
-    over F2[pi] every column of the profile is the running sum of the F2
-    one.  The bit-packed size of each degree's rows is estimated before any
-    row is built; crossing memory_cap_mib raises MemoryGuardError.
+    that algebra.  Rows are built over the d^n words of each degree, indexed
+    by their base-d numerals; over F2[pi] every column of the profile is the
+    running sum of the F2 one.  The bit-packed size of each degree's rows is
+    estimated before any row is built; crossing memory_cap_mib raises
+    MemoryGuardError.
     """
     relators = tuple(relators)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    degrees = _check_relators(alphabet, relators, ring)
-    counts = word_counts(alphabet, n_max)
+    degrees = _check_relators(unit_alphabet(d), relators, ring)
+    counts = [d**n for n in range(n_max + 1)]
     cap_bytes = memory_cap_mib * 2**20
     for n in range(n_max + 1):
         n_words = max(1, (counts[n] + 63) >> 6)
-        estimate = _estimate_rows(counts, degrees, n) * n_words * 8
+        n_rows = sum((n - h + 1) * d ** (n - h) for h in degrees if h <= n)
+        estimate = n_rows * n_words * 8
         if estimate > cap_bytes:
             raise MemoryGuardError(
                 f"degree {n} needs about {estimate >> 20} MiB of rows,"
                 f" above the {memory_cap_mib} MiB cap"
             )
-    ranks = []
-    for n in range(n_max + 1):
-        index = {word: col for col, word in enumerate(words_of_weight(alphabet, n))}
-        rows = (
-            [index[u + w + v] for _, w in rel.terms]
-            for rel, h in zip(relators, degrees)
-            for a in range(n - h + 1)
-            for u in words_of_weight(alphabet, a)
-            for v in words_of_weight(alphabet, n - h - a)
-        )
-        ranks.append(gf2.rank_of_rows(rows, counts[n]))
+    ranks = [
+        gf2.rank_of_rows(_ideal_rows(d, relators, degrees, n), counts[n]) for n in range(n_max + 1)
+    ]
     if ring == F2PI:
         counts, ranks = list(accumulate(counts)), list(accumulate(ranks))
     return RankProfile(
@@ -249,14 +237,13 @@ def strongly_free_oracle(
         d = relators[0].d
     elif d is None:
         raise ValueError("an empty relator list needs an explicit d")
-    alphabet = unit_alphabet(d)
     polys = []
     for k, rel in enumerate(relators, 1):
-        poly = relator_to_poly(rel, ring, n_max, alphabet)
+        poly = relator_to_poly(rel, ring, n_max)
         if poly.is_zero:
             raise ValueError(f"relator {k} has zero quadratic part; the oracle needs degree-2 forms")
         polys.append(poly)
-    profile = quotient_dims(alphabet, polys, n_max, ring, memory_cap_mib=memory_cap_mib)
+    profile = quotient_dims(d, polys, n_max, ring, memory_cap_mib=memory_cap_mib)
     sig = WeightSignature((1,) * d, (2,) * len(relators))
     series = strongly_free_series(sig, n_max) if ring == F2 else gamma_series(sig, n_max)
     oracle = profile.dims().values

@@ -31,10 +31,6 @@ F2PI = "F2pi"
 RINGS = (F2, F2PI)
 
 
-class TruncationError(ValueError):
-    """Raised in strict mode when a product overflows the degree cap."""
-
-
 @dataclass(frozen=True)
 class WeightedAlphabet:
     """Letters x1..xd with positive weights, sorted nondecreasing.
@@ -96,8 +92,7 @@ class NcPoly:
     """An element of the truncated free associative algebra.
 
     terms is a frozenset of (pi_exp, word) monomials, every one of degree at
-    most n_max.  Multiplication silently drops monomials past the cap; pass
-    strict=True to mul/pi_mul to turn the overflow into an error instead.
+    most n_max.  Multiplication silently drops monomials past the cap.
     """
 
     alphabet: WeightedAlphabet
@@ -127,13 +122,9 @@ class NcPoly:
         return cls(alphabet, ring, n_max, frozenset())
 
     @classmethod
-    def generator(
-        cls, alphabet: WeightedAlphabet, i: int, ring: str, n_max: int, *, strict: bool = False
-    ) -> "NcPoly":
+    def generator(cls, alphabet: WeightedAlphabet, i: int, ring: str, n_max: int) -> "NcPoly":
         """The letter xi as a polynomial; zero if its weight exceeds n_max."""
         if alphabet.weight(i) > n_max:
-            if strict:
-                raise TruncationError(f"letter x{i} has weight above the cap {n_max}")
             return cls.zero(alphabet, ring, n_max)
         return cls(alphabet, ring, n_max, frozenset({(0, (i,))}))
 
@@ -189,7 +180,7 @@ def _check_compatible(u: NcPoly, v: NcPoly) -> None:
         raise ValueError(f"truncation mismatch: {u.n_max} vs {v.n_max}")
 
 
-def mul(u: NcPoly, v: NcPoly, *, strict: bool = False) -> NcPoly:
+def mul(u: NcPoly, v: NcPoly) -> NcPoly:
     """Product by concatenation, truncated past the degree cap."""
     _check_compatible(u, v)
     cap = u.n_max
@@ -197,31 +188,22 @@ def mul(u: NcPoly, v: NcPoly, *, strict: bool = False) -> NcPoly:
     for k1, w1 in u.terms:
         d1 = k1 + u.alphabet.word_weight(w1)
         for k2, w2 in v.terms:
-            if d1 + k2 + v.alphabet.word_weight(w2) > cap:
-                if strict:
-                    raise TruncationError("product exceeds the degree cap")
-                continue
-            acc.symmetric_difference_update({(k1 + k2, w1 + w2)})
+            if d1 + k2 + v.alphabet.word_weight(w2) <= cap:
+                acc.symmetric_difference_update({(k1 + k2, w1 + w2)})
     return NcPoly(u.alphabet, u.ring, cap, frozenset(acc))
 
 
-def pi_mul(u: NcPoly, *, strict: bool = False) -> NcPoly:
+def pi_mul(u: NcPoly) -> NcPoly:
     """Multiply by the central variable pi (F2[pi] ring only)."""
     if u.ring != F2PI:
         raise ValueError("pi_mul is only defined over F2pi")
-    acc: set[Monomial] = set()
-    for k, word in u.terms:
-        if k + 1 + u.alphabet.word_weight(word) > u.n_max:
-            if strict:
-                raise TruncationError("pi multiple exceeds the degree cap")
-            continue
-        acc.add((k + 1, word))
+    acc = {(k + 1, word) for k, word in u.terms if k + 1 + u.alphabet.word_weight(word) <= u.n_max}
     return NcPoly(u.alphabet, u.ring, u.n_max, frozenset(acc))
 
 
-def bracket(u: NcPoly, v: NcPoly, *, strict: bool = False) -> NcPoly:
+def bracket(u: NcPoly, v: NcPoly) -> NcPoly:
     """[u, v] = uv + vu (char 2, so this is also the anticommutator)."""
-    return mul(u, v, strict=strict) + mul(v, u, strict=strict)
+    return mul(u, v) + mul(v, u)
 
 
 def _check_p_operand(u: NcPoly) -> int:
@@ -289,40 +271,33 @@ def render_bracket(word: BracketWord) -> str:
     return f"[{render_bracket(word.left)},{render_bracket(word.right)}]"
 
 
-def evaluate(
-    word: BracketWord, alphabet: WeightedAlphabet, ring: str, n_max: int, *, strict: bool = False
-) -> NcPoly:
+def evaluate(word: BracketWord, alphabet: WeightedAlphabet, ring: str, n_max: int) -> NcPoly:
     """Evaluate a bracket word in the truncated algebra.
 
     Squares P(xi) require a weight-1 letter.  Anything whose weight exceeds
-    n_max evaluates to zero (or raises, with strict=True).
+    n_max evaluates to zero.
     """
     if isinstance(word, Leaf):
-        return NcPoly.generator(alphabet, word.index, ring, n_max, strict=strict)
+        return NcPoly.generator(alphabet, word.index, ring, n_max)
     if isinstance(word, Square):
         if alphabet.weight(word.arg.index) != 1:
             raise ValueError(f"P(x{word.arg.index}) needs a weight-1 letter")
         if 2 > n_max:
-            if strict:
-                raise TruncationError("square exceeds the degree cap")
             return NcPoly.zero(alphabet, ring, n_max)
-        arg = evaluate(word.arg, alphabet, ring, n_max, strict=strict)
+        arg = evaluate(word.arg, alphabet, ring, n_max)
         return p_quad(arg) if ring == F2 else p_mixed(arg)
-    left = evaluate(word.left, alphabet, ring, n_max, strict=strict)
-    right = evaluate(word.right, alphabet, ring, n_max, strict=strict)
-    return bracket(left, right, strict=strict)
+    left = evaluate(word.left, alphabet, ring, n_max)
+    right = evaluate(word.right, alphabet, ring, n_max)
+    return bracket(left, right)
 
 
-def relator_to_poly(relator, ring: str, n_max: int, alphabet: WeightedAlphabet | None = None) -> NcPoly:
-    """Degree-2 polynomial sum(squares_i * xi*xi) + sum(comms (i,j) of xi*xj + xj*xi).
+def relator_to_poly(relator, ring: str, n_max: int) -> NcPoly:
+    """Degree-2 polynomial sum(squares_i * xi*xi) + sum(comms (i,j) of xi*xj + xj*xi)
+    in the algebra on relator.d letters of weight 1.
 
     The relator provides .d, .squares and .comms; pi never appears.  With
     n_max < 2 the image truncates to zero.
     """
-    if alphabet is None:
-        alphabet = unit_alphabet(relator.d)
-    if alphabet.d != relator.d:
-        raise ValueError(f"alphabet size {alphabet.d} does not match relator on {relator.d} letters")
     monos: list[Monomial] = []
     for i, bit in enumerate(relator.squares, start=1):
         if bit:
@@ -332,7 +307,7 @@ def relator_to_poly(relator, ring: str, n_max: int, alphabet: WeightedAlphabet |
         monos.append((0, (j, i)))
     if n_max < 2:
         monos = []
-    return NcPoly.from_monomials(alphabet, ring, n_max, monos)
+    return NcPoly.from_monomials(unit_alphabet(relator.d), ring, n_max, monos)
 
 
 # ---------------------------------------------------------------------------

@@ -130,11 +130,14 @@ def test_missing_file_exit_2(tmp_path):
     [
         {"relators": [1]},
         [],
-        {"relators": [{"owner": 1, "square": 0, "comms": [["a", "b"]]}]},
+        {"relators": [{"owner": 1, "square": 0, "comms": [["a", "b"]]}], "a": [0]},
         {"relators": [{"owner": 9, "square": 1, "comms": []}], "a": [0, 1]},
         {"relators": [], "primes": ["foo", "bar"], "product_relation": [0, 1]},
         {"relators": [], "product_relation": ["1", 1]},
         {"relators": [], "product_relation": ["x", 1]},
+        {"relators": [{"owner": 1, "square": 0, "comms": [[1, 1000000000]]}]},
+        {"relators": [{"owner": 1, "square": 0, "comms": [[1, 1000000000]]}], "a": [0, 0]},
+        {"relators": [{"owner": 1, "square": 1, "comms": [[1, 2]]}]},
     ],
 )
 def test_malformed_presentation_json_exit_2(tmp_path, blob):

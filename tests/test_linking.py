@@ -237,9 +237,23 @@ def test_presentation_json_rejects_bad_shapes():
     with pytest.raises(ValueError):
         Presentation.from_json_dict({})
     with pytest.raises(ValueError):
-        Presentation.from_json_dict({"relators": [{"owner": None, "square": 1, "comms": []}]})
+        Presentation.from_json_dict({"relators": [{"owner": None, "square": 1, "comms": []}], "a": [1]})
     with pytest.raises(ValueError):
         QuadraticRelator(2, (1, 0), frozenset()).to_json_dict()
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        ({"relators": [{"owner": 1, "comms": [["a", "b"]]}], "a": [0]}, "must be integers"),
+        ({"relators": [{"owner": 1, "comms": [[1, 10**9]]}], "a": [0, 0]}, "out of range for d = 2"),
+        ({"relators": [{"owner": 1, "square": 1, "comms": [[1, 2]]}]}, "array for d"),
+        ({"relators": [], "a": [0], "primes": [3, 5]}, "of one length d"),
+    ],
+)
+def test_presentation_json_errors_name_the_failing_check(blob, message):
+    with pytest.raises(ValueError, match=message):
+        Presentation.from_json_dict(blob)
 
 
 def test_normalize_seed_orders_and_adjoins():

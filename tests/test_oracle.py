@@ -1,4 +1,4 @@
-"""Brute-force quotient oracle: word enumeration, GF(2) ranks, series checks."""
+"""Brute-force quotient oracle: word numerals, GF(2) ranks, series checks."""
 
 import itertools
 import random
@@ -13,10 +13,8 @@ from mild2.oracle import (
     independent_in_degree,
     quotient_dims,
     strongly_free_oracle,
-    word_counts,
-    words_of_weight,
 )
-from mild2.quadlie import F2, F2PI, NcPoly, WeightedAlphabet, mul, pi_mul, relator_to_poly, unit_alphabet
+from mild2.quadlie import F2, F2PI, NcPoly, mul, pi_mul, relator_to_poly, unit_alphabet
 
 EX1 = (41, 13, 5, 3, 19)
 EX2 = (5, 29, 7, 11, 3)
@@ -27,8 +25,7 @@ def reduced(primes):
 
 
 def reduced_polys(primes, ring=F2, n_max=6):
-    alphabet = unit_alphabet(4)
-    return [relator_to_poly(rel, ring, n_max, alphabet=alphabet) for rel in reduced(primes)]
+    return [relator_to_poly(rel, ring, n_max) for rel in reduced(primes)]
 
 
 def test_gf2_pack_and_rank_small():
@@ -84,36 +81,16 @@ def test_gf2_rank_preserves_input_by_default():
     assert packed == [0b01, 0b11, 0b10]
 
 
-def test_words_of_weight_counts():
-    alphabet = unit_alphabet(3)
-    for n in range(5):
-        assert len(words_of_weight(alphabet, n)) == 3**n
-    weighted = WeightedAlphabet((1, 2))
-    # words over weights (1, 2): Fibonacci-like count c_n = c_{n-1} + c_{n-2}
-    counts = [len(words_of_weight(weighted, n)) for n in range(8)]
-    assert counts == [1, 1, 2, 3, 5, 8, 13, 21]
-    assert counts == [word_counts(weighted, 7)[n] for n in range(8)]
-
-
-def test_words_are_sorted_and_distinct():
-    alphabet = WeightedAlphabet((1, 1, 2))
-    for n in range(5):
-        words = words_of_weight(alphabet, n)
-        assert sorted(set(words)) == list(words)
-        assert all(alphabet.word_weight(w) == n for w in words)
-
-
 def test_quotient_dims_without_relators_is_ambient():
-    alphabet = unit_alphabet(2)
-    profile = quotient_dims(alphabet, (), 5)
+    profile = quotient_dims(2, (), 5)
     assert profile.dims().values == (1, 2, 4, 8, 16, 32)
-    profile_pi = quotient_dims(alphabet, (), 4, ring=F2PI)
+    profile_pi = quotient_dims(2, (), 4, ring=F2PI)
     # F2pi ambient counts pi^k u with k + |u| = n
     assert profile_pi.dims().values == (1, 3, 7, 15, 31)
 
 
 def test_quotient_dims_first_example():
-    profile = quotient_dims(unit_alphabet(4), reduced_polys(EX1), 5)
+    profile = quotient_dims(4, reduced_polys(EX1), 5)
     assert profile.dims().values == (1, 4, 12, 32, 80, 192)
     ranks = [entry.rank for entry in profile.per_degree]
     assert ranks == [0, 0, 4, 32, 176, 832]
@@ -122,64 +99,86 @@ def test_quotient_dims_first_example():
 def test_quotient_dims_row_operation_invariance():
     polys = reduced_polys(EX1)
     mixed = [polys[0] + polys[1]] + polys[1:]
-    a = quotient_dims(unit_alphabet(4), polys, 4).dims().values
-    b = quotient_dims(unit_alphabet(4), mixed, 4).dims().values
+    a = quotient_dims(4, polys, 4).dims().values
+    b = quotient_dims(4, mixed, 4).dims().values
     assert a == b
 
 
 def test_quotient_dims_memory_guard():
     with pytest.raises(MemoryGuardError):
-        quotient_dims(unit_alphabet(4), reduced_polys(EX1), 6, memory_cap_mib=1)
+        quotient_dims(4, reduced_polys(EX1), 6, memory_cap_mib=1)
     # generous cap passes
-    quotient_dims(unit_alphabet(4), reduced_polys(EX1), 3, memory_cap_mib=64)
+    quotient_dims(4, reduced_polys(EX1), 3, memory_cap_mib=64)
 
 
-def pi_span_reference(primes, n_max):
-    """F2[pi] profile by spanning pi^k * u * rho * v with NcPoly arithmetic."""
-    alphabet = unit_alphabet(4)
-    polys = reduced_polys(primes, ring=F2PI, n_max=n_max)
+def pi_span_reference(d, polys, ring):
+    """Quotient profile by spanning pi^k * u * rho * v with NcPoly arithmetic
+    (k = 0 over F2), ranked on each degree's monomial support."""
+    n_max = polys[0].n_max
+    alphabet = unit_alphabet(d)
 
     def word(w):
-        return NcPoly(alphabet, F2PI, n_max, {(0, w)})
+        return NcPoly(alphabet, ring, n_max, {(0, w)})
 
     profile = []
     for n in range(n_max + 1):
         products = []
         for rho in polys:
-            for k in range(n - 1):
-                for a in range(n - 1 - k):
-                    for u in itertools.product(range(1, 5), repeat=a):
-                        for v in itertools.product(range(1, 5), repeat=n - 2 - k - a):
+            h = rho.degree()
+            for k in range(n - h + 1) if ring == F2PI else range(min(1, n - h + 1)):
+                for a in range(n - h - k + 1):
+                    for u in itertools.product(range(1, d + 1), repeat=a):
+                        for v in itertools.product(range(1, d + 1), repeat=n - h - k - a):
                             product = mul(mul(word(u), rho), word(v))
                             for _ in range(k):
                                 product = pi_mul(product)
                             products.append(product)
-        ambient = sum(4**j for j in range(n + 1))
+        ambient = sum(d**j for j in range(n + 1)) if ring == F2PI else d**n
         rank = independent_in_degree(products)
         profile.append((n, ambient, rank, ambient - rank))
     return profile
 
 
+def profile_rows(profile):
+    return [(row.degree, row.ambient, row.rank, row.quotient) for row in profile.per_degree]
+
+
 def test_f2pi_profile_matches_pi_span_reference():
     for primes in (EX1, EX2):
         polys = reduced_polys(primes, ring=F2PI, n_max=4)
-        profile = quotient_dims(unit_alphabet(4), polys, 4, ring=F2PI)
-        got = [(row.degree, row.ambient, row.rank, row.quotient) for row in profile.per_degree]
-        assert got == pi_span_reference(primes, 4)
+        profile = quotient_dims(4, polys, 4, ring=F2PI)
+        assert profile_rows(profile) == pi_span_reference(4, polys, F2PI)
+
+
+@pytest.mark.parametrize("ring", [F2, F2PI])
+def test_word_numerals_match_span_reference_at_one_and_eleven_letters(ring):
+    one = unit_alphabet(1)
+    x = NcPoly.generator(one, 1, ring, 5)
+    polys = [mul(x, x), mul(mul(x, x), x)]
+    assert profile_rows(quotient_dims(1, polys, 5, ring)) == pi_span_reference(1, polys, ring)
+
+    # two-digit letters: a numeral built by joining digit strings would mis-index x10, x11
+    eleven = unit_alphabet(11)
+    x = [None] + [NcPoly.generator(eleven, i, ring, 3) for i in range(1, 12)]
+    polys = [
+        mul(x[11], x[11]) + mul(x[1], x[11]) + mul(x[11], x[1]),
+        mul(x[10], x[11]) + mul(x[2], x[2]),
+        mul(mul(x[11], x[3]), x[10]) + mul(mul(x[1], x[11]), x[11]),
+    ]
+    profile = quotient_dims(11, polys, 3, ring)
+    assert profile_rows(profile) == pi_span_reference(11, polys, ring)
 
 
 def test_quotient_dims_rejects_pi_bearing_relators():
     alphabet = unit_alphabet(2)
     x1, x2 = (NcPoly.generator(alphabet, i, F2PI, 3) for i in (1, 2))
     with pytest.raises(ValueError, match="carries pi"):
-        quotient_dims(alphabet, [mul(x1, x2) + pi_mul(x1)], 3, ring=F2PI)
+        quotient_dims(2, [mul(x1, x2) + pi_mul(x1)], 3, ring=F2PI)
 
 
 def test_f2pi_memory_guard_sizes_the_f2_matrix():
     # the degree-6 F2 matrix is about 2.5 MiB; an F2[pi] matrix would be about 4
-    profile = quotient_dims(
-        unit_alphabet(4), reduced_polys(EX1, ring=F2PI), 6, ring=F2PI, memory_cap_mib=3
-    )
+    profile = quotient_dims(4, reduced_polys(EX1, ring=F2PI), 6, ring=F2PI, memory_cap_mib=3)
     assert profile.dims().values == (1, 5, 17, 49, 129, 321, 769)
 
 
@@ -237,15 +236,14 @@ def test_independent_in_degree():
 
 def test_oracle_quotient_matches_relator_span_in_degree_two():
     # degree-2 slice: ambient minus span of the relator polynomials themselves
-    alphabet = unit_alphabet(4)
     polys = reduced_polys(EX2, n_max=2)
     span = independent_in_degree(polys)
-    profile = quotient_dims(alphabet, polys, 2)
+    profile = quotient_dims(4, polys, 2)
     assert profile.dims().values[2] == 16 - span
 
 
 def test_oracle_profile_table_shape():
-    profile = quotient_dims(unit_alphabet(4), reduced_polys(EX1), 3)
+    profile = quotient_dims(4, reduced_polys(EX1), 3)
     table = profile.table()
     lines = table.splitlines()
     assert lines[0].split() == ["degree", "ambient", "rank", "quotient"]
