@@ -4,72 +4,22 @@ The package turns an ordered set of odd primes into linking data and a
 quadratic presentation, decides mildness through rank/circuit criteria with
 an independent brute-force dimension oracle, expands the associated graded
 dimension series exactly, and searches for mild augmentations of seed sets.
+Every other name is importable from its own module.
 """
 
-from .arith import BoundExceededError, is_prime, legendre, mobius, next_prime_in_class
 from .linking import (
-    AugmentationResult,
-    LinkingData,
-    NoEliminableGeneratorError,
-    Presentation,
-    QuadraticRelator,
-    ValidationReport,
     augment,
     eliminate_generator,
-    interleave,
     koch_presentation,
     linking_data,
-    normalize_seed,
-    ordered_prime_set,
     validate_augmentation,
 )
-from .mildness import (
-    MildnessReport,
-    Partition,
-    check_mild,
-    circuit_criterion,
-    find_mild_partition,
-    parity_partition,
-    rank_criterion,
-)
-from .oracle import (
-    MemoryGuardError,
-    OracleComparison,
-    RankProfile,
-    independent_in_degree,
-    quotient_dims,
-    strongly_free_oracle,
-)
-from .quadlie import (
-    F2,
-    F2PI,
-    Bracket,
-    BracketWord,
-    Leaf,
-    NcPoly,
-    Square,
-    WeightedAlphabet,
-    bracket,
-    elimination_basis,
-    enumerate_y,
-    evaluate,
-    mul,
-    p_mixed,
-    p_quad,
-    pi_mul,
-    relator_to_poly,
-    render_bracket,
-    unit_alphabet,
-)
+from .mildness import check_mild, find_mild_partition
+from .oracle import strongly_free_oracle
 from .series import (
-    DimensionSequence,
-    IntSeries,
-    NonRealizableError,
     WeightSignature,
-    expand_rational,
     gamma_series,
     lower_central_dims,
-    power_sums,
     reduced_dims_bn,
     strongly_free_series,
     verify_cent_g,
@@ -79,66 +29,18 @@ from .series import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentationResult",
-    "BoundExceededError",
-    "Bracket",
-    "BracketWord",
-    "DimensionSequence",
-    "F2",
-    "F2PI",
-    "IntSeries",
-    "Leaf",
-    "LinkingData",
-    "MemoryGuardError",
-    "MildnessReport",
-    "NcPoly",
-    "NoEliminableGeneratorError",
-    "NonRealizableError",
-    "OracleComparison",
-    "Partition",
-    "Presentation",
-    "QuadraticRelator",
-    "RankProfile",
-    "Square",
-    "ValidationReport",
     "WeightSignature",
-    "WeightedAlphabet",
     "augment",
-    "bracket",
     "check_mild",
-    "circuit_criterion",
-    "elimination_basis",
     "eliminate_generator",
-    "enumerate_y",
-    "evaluate",
-    "expand_rational",
     "find_mild_partition",
     "gamma_series",
-    "independent_in_degree",
-    "interleave",
-    "is_prime",
     "koch_presentation",
-    "legendre",
     "linking_data",
     "lower_central_dims",
-    "mobius",
-    "mul",
-    "next_prime_in_class",
-    "normalize_seed",
-    "ordered_prime_set",
-    "p_mixed",
-    "p_quad",
-    "parity_partition",
-    "pi_mul",
-    "power_sums",
-    "quotient_dims",
-    "rank_criterion",
     "reduced_dims_bn",
-    "relator_to_poly",
-    "render_bracket",
     "strongly_free_oracle",
     "strongly_free_series",
-    "unit_alphabet",
     "validate_augmentation",
     "verify_cent_g",
     "zassenhaus_dims",

@@ -2,10 +2,10 @@
 
 Two sufficient criteria are implemented.  The rank criterion takes a
 partition {1..d} = S u Sp: every relator must avoid xi^2 for i in S and
-[xi, xj] for i, j both in S, and the m x (|S|*|Sp|) matrix of coefficients
-on the basis {[xi, xj] : i in S, j in Sp} must have rank m.  The circuit
-criterion is a closed-form special case for d even >= 4, m = d and relators
-in Koch shape:
+[xi, xj] for i, j both in S, and the m rows, one per relator holding its
+crossing commutators [xi, xj] with i in S and j in Sp, must have rank m over
+GF(2).  The circuit criterion is a closed-form special case for d even >= 4,
+m = d and relators in Koch shape:
 
   (a) a_i = 0 for odd i,
   (b) l_ij = 0 for i, j both odd,
@@ -69,19 +69,18 @@ def rank_criterion(relators, part: Partition) -> bool:
     if set(part.S) | set(part.Sp) != set(range(1, d + 1)):
         raise ValueError(f"partition {part} does not cover 1..{d}")
     s_set = set(part.S)
+    rows = []
     for rel in relators:
         if any(rel.squares[i - 1] for i in part.S):
             return False
-        if any(i in s_set and j in s_set for i, j in rel.comms):
-            return False
-    basis = {
-        (i, j): col for col, (i, j) in enumerate(itertools.product(part.S, part.Sp))
-    }
-    rows = [
-        [basis[(i, j)] for i in part.S for j in part.Sp if (min(i, j), max(i, j)) in rel.comms]
-        for rel in relators
-    ]
-    return gf2.rank_of_rows(rows, len(basis)) == len(relators)
+        row = []
+        for i, j in rel.comms:
+            if i in s_set and j in s_set:
+                return False
+            if i in s_set or j in s_set:
+                row.append((i - 1) * d + j - 1)
+        rows.append(row)
+    return gf2.rank_of_rows(rows, d * d) == len(relators)
 
 
 def circuit_criterion(relators) -> bool | None:
@@ -96,21 +95,18 @@ def circuit_criterion(relators) -> bool | None:
         return None
     if any(not rel.has_koch_shape(i) for i, rel in enumerate(relators, 1)):
         return None
-    a = [rel.squares[i - 1] for i, rel in enumerate(relators, 1)]
-    ell = [[0] * (d + 1) for _ in range(d + 1)]
-    for i, rel in enumerate(relators, 1):
-        for j in rel.comm_partners(i):
-            ell[i][j] = 1
-    if any(a[i - 1] for i in range(1, d + 1, 2)):
+
+    def ell(i: int, j: int) -> bool:
+        return (min(i, j), max(i, j)) in relators[i - 1].comms
+
+    odd = range(1, d + 1, 2)
+    if any(relators[i - 1].squares[i - 1] for i in odd):  # (a)
         return False
-    if any(ell[i][j] for i in range(1, d + 1, 2) for j in range(1, d + 1, 2) if i != j):
+    if any(ell(i, j) for i in odd for j in odd if i != j):  # (b)
         return False
-    if not all(ell[i][i + 1] for i in range(1, d)) or not ell[d][1]:
+    if not all(ell(i, i % d + 1) for i in range(1, d + 1)):  # (c)
         return False
-    reverse = ell[1][d]
-    for i in range(d, 1, -1):
-        reverse &= ell[i][i - 1]
-    return reverse == 0
+    return not all(ell(i, (i - 2) % d + 1) for i in range(1, d + 1))  # (d)
 
 
 def find_mild_partition(relators) -> Partition | None:

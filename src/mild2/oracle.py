@@ -26,6 +26,7 @@ of the F2 one, and no F2[pi] matrix is ever built.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -38,7 +39,7 @@ DEFAULT_MEMORY_CAP_MIB = 1024
 
 
 class MemoryGuardError(MemoryError):
-    """The estimated row storage for a degree exceeds the configured cap."""
+    """The estimated pivot table for a degree exceeds the configured cap."""
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,15 @@ def _check_relators(alphabet, relators, ring) -> list[int]:
     return degrees
 
 
+def _pivot_table_bytes(n_cols: int) -> int:
+    """Upper bound on gf2.rank's pivot table: at most one pivot per column, the
+    one with top bit t holding t + 1 bits, and per pivot an int header, an int
+    key and a dict slot (at most 60 bytes at CPython's worst load factor)."""
+    info = sys.int_info
+    digits = n_cols * (n_cols + 1) // 2 * info.sizeof_digit // info.bits_per_digit
+    return digits + n_cols * (2 * sys.getsizeof(1) + 64)
+
+
 def _numeral(word: tuple[int, ...], d: int) -> int:
     col = 0
     for letter in word:
@@ -131,23 +141,20 @@ def quotient_dims(
     Relators must be nonzero, pi-free, homogeneous of degree >= 2, and all in
     that algebra.  Rows are built over the d^n words of each degree, indexed
     by their base-d numerals; over F2[pi] every column of the profile is the
-    running sum of the F2 one.  The bit-packed size of each degree's rows is
-    estimated before any row is built; crossing memory_cap_mib raises
-    MemoryGuardError.
+    running sum of the F2 one.  Rows are streamed, so only the pivot table of
+    each degree is held; its size is bounded before any row is built, and
+    crossing memory_cap_mib raises MemoryGuardError.
     """
     relators = tuple(relators)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     degrees = _check_relators(unit_alphabet(d), relators, ring)
     counts = [d**n for n in range(n_max + 1)]
-    cap_bytes = memory_cap_mib * 2**20
-    for n in range(n_max + 1):
-        n_words = max(1, (counts[n] + 63) >> 6)
-        n_rows = sum((n - h + 1) * d ** (n - h) for h in degrees if h <= n)
-        estimate = n_rows * n_words * 8
-        if estimate > cap_bytes:
+    for n, count in enumerate(counts):
+        estimate = _pivot_table_bytes(count)
+        if estimate > memory_cap_mib * 2**20:
             raise MemoryGuardError(
-                f"degree {n} needs about {estimate >> 20} MiB of rows,"
+                f"degree {n} needs about {-(-estimate // 2**20)} MiB of rows,"
                 f" above the {memory_cap_mib} MiB cap"
             )
     ranks = [

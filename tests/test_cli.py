@@ -215,6 +215,9 @@ def test_oracle_f2pi_ring():
 def test_memory_cap_flag_and_env():
     code, err = run_err(["oracle", "--primes", EX1, "--max", "6", "--memory-cap-mib", "1"])
     assert code == 5 and "cap" in err
+    # degree 7 holds a pivot table of about 19 MiB, and nothing larger
+    code, out = run(["oracle", "--primes", EX1, "--max", "7", "--memory-cap-mib", "20"])
+    assert code == 0 and out.endswith("verdict = match")
     # a cap below 1 MiB is an input error, not a guard stop
     with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
         cli.main(["oracle", "--primes", EX1, "--max", "6", "--memory-cap-mib", "0"])

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from mild2 import gf2, mildness
 from mild2.linking import Presentation, QuadraticRelator, koch_presentation
 from mild2.mildness import (
     MAX_ENUMERATION_D,
@@ -244,3 +245,153 @@ def test_circuit_implies_rank_at_parity():
             rels.append(QuadraticRelator(d, squares, comms, owner=i))
         if circuit_criterion(rels) is True:
             assert rank_criterion(rels, parity_partition(d)), rels
+
+
+def rank_criterion_reference(relators, part):
+    """The rank criterion on an explicit basis: one column per pair of S x Sp."""
+    s_set = set(part.S)
+    for rel in relators:
+        if any(rel.squares[i - 1] for i in part.S):
+            return False
+        if any(i in s_set and j in s_set for i, j in rel.comms):
+            return False
+    basis = {(i, j): col for col, (i, j) in enumerate(itertools.product(part.S, part.Sp))}
+    rows = [
+        [basis[(i, j)] for i in part.S for j in part.Sp if (min(i, j), max(i, j)) in rel.comms]
+        for rel in relators
+    ]
+    return gf2.rank_of_rows(rows, len(basis)) == len(relators)
+
+
+def all_partitions(d):
+    everything = range(1, d + 1)
+    for size in range(d + 1):
+        for sp in itertools.combinations(everything, size):
+            yield Partition(tuple(i for i in everything if i not in sp), sp)
+
+
+def test_rank_criterion_matches_basis_reference_on_every_partition():
+    rng = random.Random(41)
+    outcomes = set()
+    for _ in range(150):
+        d = rng.randint(2, 7)
+        p_square, p_comm = rng.choice((0.05, 0.2)), rng.choice((0.2, 0.5))
+        pairs = list(itertools.combinations(range(1, d + 1), 2))
+        rels = [
+            QuadraticRelator(
+                d,
+                tuple(int(rng.random() < p_square) for _ in range(d)),
+                {pair for pair in pairs if rng.random() < p_comm},
+            )
+            for _ in range(rng.randint(1, d))
+        ]
+        for part in all_partitions(d):
+            expected = rank_criterion_reference(rels, part)
+            assert rank_criterion(rels, part) == expected, (rels, part)
+            outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def circuit_criterion_reference(relators):
+    """The circuit test on an explicit a vector and l matrix, with the branch
+    that decided it: 'none', '(a)', '(b)', '(c)' or '(d)'."""
+    d, m = relators[0].d, len(relators)
+    if d < 4 or d % 2 or m != d:
+        return None, "none"
+    if any(not rel.has_koch_shape(i) for i, rel in enumerate(relators, 1)):
+        return None, "none"
+    a = [rel.squares[i - 1] for i, rel in enumerate(relators, 1)]
+    ell = [[0] * (d + 1) for _ in range(d + 1)]
+    for i, rel in enumerate(relators, 1):
+        for j in rel.comm_partners(i):
+            ell[i][j] = 1
+    if any(a[i - 1] for i in range(1, d + 1, 2)):
+        return False, "(a)"
+    if any(ell[i][j] for i in range(1, d + 1, 2) for j in range(1, d + 1, 2) if i != j):
+        return False, "(b)"
+    if not all(ell[i][i + 1] for i in range(1, d)) or not ell[d][1]:
+        return False, "(c)"
+    reverse = ell[1][d]
+    for i in range(d, 1, -1):
+        reverse &= ell[i][i - 1]
+    return reverse == 0, "(d)"
+
+
+def random_koch_relators(rng, d):
+    """d relators, relator i in Koch shape at i unless a stray term is drawn."""
+    p_odd_square = rng.choice((0.0, 0.3))
+    p_forward, p_backward, p_other = rng.choice((0.9, 1.0)), rng.choice((0.5, 1.0)), rng.choice((0.0, 0.15))
+    rels = []
+    for i in range(1, d + 1):
+        squares = [0] * d
+        squares[i - 1] = int(rng.random() < (p_odd_square if i % 2 else 0.5))
+        comms = set()
+        for j in range(1, d + 1):
+            if j == i % d + 1:
+                p = p_forward
+            elif i == j % d + 1:
+                p = p_backward
+            else:
+                p = p_other
+            if j != i and rng.random() < p:
+                comms.add((min(i, j), max(i, j)))
+        if rng.random() < 0.03:
+            squares[rng.randrange(d)] = 1
+        if rng.random() < 0.03:
+            comms.add(rng.choice(list(itertools.combinations(range(1, d + 1), 2))))
+        rels.append(QuadraticRelator(d, tuple(squares), comms, owner=i))
+    return rels
+
+
+def test_circuit_criterion_matches_matrix_reference_on_every_branch():
+    rng = random.Random(43)
+    branches = set()
+    for _ in range(3000):
+        d = rng.choice((3, 4, 5, 6, 8))
+        rels = random_koch_relators(rng, d)
+        if rng.random() < 0.1:
+            rels = rels[:-1] if rng.random() < 0.5 else rels + rels[:1]
+        expected, branch = circuit_criterion_reference(rels)
+        assert circuit_criterion(rels) == expected, rels
+        branches.add((branch, expected))
+    assert branches == {
+        ("none", None),
+        ("(a)", False),
+        ("(b)", False),
+        ("(c)", False),
+        ("(d)", False),
+        ("(d)", True),
+    }
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_search_ranks_each_partition_once_in_the_documented_order(monkeypatch, d):
+    calls = []
+    real = mildness.rank_criterion
+
+    def spy(relators, part):
+        calls.append(part)
+        return real(relators, part)
+
+    monkeypatch.setattr(mildness, "rank_criterion", spy)
+    order = [parity_partition(d)] + list(all_partitions(d))
+    assert len(order) == 2**d + 1
+    rng = random.Random(d)
+    pairs = list(itertools.combinations(range(1, d + 1), 2))
+    samples = [[QuadraticRelator(d, (0,) * d, {(1, 2)})] * 2]  # dependent: no witness
+    samples += [
+        [QuadraticRelator(d, tuple(int(rng.random() < 0.2) for _ in range(d)), set(rng.sample(pairs, 1)))
+         for _ in range(rng.randint(1, d))]
+        for _ in range(20)
+    ]
+    stops = set()
+    for rels in samples:
+        calls.clear()
+        witness = find_mild_partition(rels)
+        stop = next((k for k, part in enumerate(order) if real(rels, part)), None)
+        if stop is None:
+            assert witness is None and calls == order
+        else:
+            assert witness == order[stop] and calls == order[: stop + 1]
+        stops.add(stop)
+    assert None in stops and len(stops) > 2

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -10,6 +11,7 @@ from mild2.linking import QuadraticRelator, eliminate_generator, koch_presentati
 from mild2.oracle import (
     MemoryGuardError,
     OracleComparison,
+    _pivot_table_bytes,
     independent_in_degree,
     quotient_dims,
     strongly_free_oracle,
@@ -111,6 +113,17 @@ def test_quotient_dims_memory_guard():
     quotient_dims(4, reduced_polys(EX1), 3, memory_cap_mib=64)
 
 
+def test_pivot_table_estimate_covers_the_measured_peak():
+    polys = reduced_polys(EX1)
+    tracemalloc.start()
+    try:
+        quotient_dims(4, polys, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _pivot_table_bytes(4**6) >= peak
+
+
 def pi_span_reference(d, polys, ring):
     """Quotient profile by spanning pi^k * u * rho * v with NcPoly arithmetic
     (k = 0 over F2), ranked on each degree's monomial support."""
@@ -177,8 +190,9 @@ def test_quotient_dims_rejects_pi_bearing_relators():
 
 
 def test_f2pi_memory_guard_sizes_the_f2_matrix():
-    # the degree-6 F2 matrix is about 2.5 MiB; an F2[pi] matrix would be about 4
-    profile = quotient_dims(4, reduced_polys(EX1, ring=F2PI), 6, ring=F2PI, memory_cap_mib=3)
+    # the guard sizes the pivot table of the 4096 F2 columns (about 1.5 MiB);
+    # one over the 5461 F2[pi] columns of degree <= 6 would be about 2.5 MiB
+    profile = quotient_dims(4, reduced_polys(EX1, ring=F2PI), 6, ring=F2PI, memory_cap_mib=2)
     assert profile.dims().values == (1, 5, 17, 49, 129, 321, 769)
 
 
