@@ -1,10 +1,10 @@
 """
-The brute-force quotient oracle
-===============================
+The quotient oracle
+===================
 
-Every mildness verdict can be cross-checked: build the graded ideal slices
-explicitly, row-reduce over GF(2), and compare quotient dimensions against
-the predicted series.
+Every mildness verdict can be cross-checked: build the graded quotient
+degree by degree on normal words, row-reduce over GF(2), and compare its
+dimensions against the predicted series.
 """
 
 from mild2 import eliminate_generator, koch_presentation, strongly_free_oracle

@@ -2,7 +2,7 @@
 
 The package turns an ordered set of odd primes into linking data and a
 quadratic presentation, decides mildness through rank/circuit criteria with
-an independent brute-force dimension oracle, expands the associated graded
+an independent quotient-dimension oracle, expands the associated graded
 dimension series exactly, and searches for mild augmentations of seed sets.
 Every other name is importable from its own module.
 """

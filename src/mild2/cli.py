@@ -3,7 +3,8 @@
 Subcommands: linking, present, reduce, check-mild, augment, series, dims,
 oracle, basis, selftest.  Exit codes: 0 success (and mild verdicts),
 2 input errors, 3 not_shown, 4 inapplicable, 5 resource-guard stops
-(memory cap, exhausted search bound); the oracle subcommand exits 1 on a
+(memory cap, exhausted search bound), 70 an unexpected internal error
+(one "error: internal:" line); the oracle subcommand exits 1 on a
 dimension mismatch.
 """
 
@@ -286,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
     p.add_argument("--max", type=int, default=DEFAULT_MAX_DEGREE)
 
-    p = add("oracle", _cmd_oracle, help="brute-force quotient dimensions vs the predicted series")
+    p = add("oracle", _cmd_oracle, help="quotient dimensions on normal words vs the predicted series")
     p.add_argument("--primes")
     p.add_argument("--in", dest="infile")
     p.add_argument("--ring", choices=sorted(_RINGS), default="f2")
@@ -314,6 +315,9 @@ def main(argv=None) -> int:
     except (BoundExceededError, MemoryGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
+    except Exception as exc:  # a fault in mild2 itself; 1 would read as an oracle mismatch
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 70
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ m = d and relators in Koch shape:
 
 in which case the parity partition (S odd, Sp even) witnesses the rank
 criterion.  check_mild chains elimination, the criteria and an optional
-brute-force dimension oracle into one report.
+quotient-dimension oracle into one report.
 """
 
 from __future__ import annotations
@@ -178,7 +178,7 @@ def check_mild(
     """Full pipeline: eliminate through the product relation when one is
     present and nonzero, reject zero relators as inapplicable, then try the
     circuit criterion and the partition search.  With oracle_depth set, the
-    brute-force dimension oracle runs on the final relators and its agreement
+    quotient-dimension oracle runs on the final relators and its agreement
     is recorded in the notes.
     """
     notes: list[str] = []

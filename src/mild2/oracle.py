@@ -1,22 +1,28 @@
-"""Brute-force graded dimensions of relator-ideal quotients.
+"""Graded dimensions of relator-ideal quotients, degree by degree on normal words.
 
-For relators rho_1..rho_m in the truncated free algebra on d letters of
-weight 1, the degree-n slice of the two-sided ideal they generate is spanned
-by the products u * rho * v with monomial words u, v.  Each product becomes
-one GF(2) row over the d^n words of degree n, streamed into the rank one row
-at a time; the quotient dimension is the ambient count minus the rank.  This
-is the independent check the certificate criteria are compared against: a
-strongly free relator sequence must reproduce
+For relators rho_1..rho_m in the free algebra A on d letters of weight 1,
+the quotient Q = A / I by the two-sided ideal they generate is the
+independent check the certificate criteria are compared against: a strongly
+free relator sequence must reproduce
 
     1 / (1 - sum t^{e_i} + sum t^{h_j})        over F2
     the same divided by (1 - t)                over F2[pi]
 
 degree by degree, and any mismatch degree is reported.
 
-A word is indexed by its base-d numeral, letter i being digit i - 1, so the
-column order is the lexicographic order of the words.  The product u * w * v
-with |w| = h and |v| = b sits at column u * d^(h+b) + w * d^b + v, so rows
-are built by arithmetic and no word list is ever materialised.
+The dimensions come from the normal-word recursion.  Every product u * rho * v
+with v nonempty lies in I_{n-1} * A_1, so I_n = I_{n-1} * A_1 + sum A_{n-h} *
+rho, and I_{n-h} * rho already lies in I_{n-1} * A_1.  Hence Q_n is the span
+of the columns (a, q), a letter a after a normal word q of degree n - 1, modulo
+the rows q' * rho for every relator of degree h and every normal word q' of
+degree n - h: m * dim Q_{n-h} rows over d * dim Q_{n-1} columns, where the
+ideal slice itself has about m * n * d^(n-2) rows over d^n.  Column (a, q)
+sits at (a - 1) * dim Q_{n-1} + index(q), so appending a letter to a vector
+over Q_{n-1} is one shift.  Each degree's fully reduced echelon form gives a
+table holding the normal form of every column; its non-pivot columns are the
+normal words of Q_n.  A relator term w_1..w_h then costs one lookup at
+degree n - h + 1 and one more per letter up to degree n - 1, so only the last
+max(h) - 1 tables are held.
 
 Only pi-free relators are accepted, so over F2[pi] the quotient is
 F2[pi] (x) Q with Q the F2 quotient: its degree-n slice is the sum of
@@ -39,7 +45,7 @@ DEFAULT_MEMORY_CAP_MIB = 1024
 
 
 class MemoryGuardError(MemoryError):
-    """The estimated pivot table for a degree exceeds the configured cap."""
+    """The estimated memory of a degree exceeds the configured cap."""
 
 
 @dataclass(frozen=True)
@@ -97,33 +103,52 @@ def _check_relators(alphabet, relators, ring) -> list[int]:
     return degrees
 
 
-def _pivot_table_bytes(n_cols: int) -> int:
-    """Upper bound on gf2.rank's pivot table: at most one pivot per column, the
-    one with top bit t holding t + 1 bits, and per pivot an int header, an int
-    key and a dict slot (at most 60 bytes at CPython's worst load factor)."""
+def _degree_bytes(n_cols: int, held_cols) -> int:
+    """Upper bound on what a degree holds while it is reduced: the echelon
+    form over its n_cols columns and the normal-form table being built, plus
+    the tables of earlier degrees still held (given by their column counts).
+
+    Row t of the echelon form and entry t of a table hold at most t + 1 bits.
+    Each echelon row also costs an int header, an int key and a dict slot (at
+    most 60 bytes at CPython's worst load factor); each table entry an int
+    header and a list slot.
+    """
     info = sys.int_info
-    digits = n_cols * (n_cols + 1) // 2 * info.sizeof_digit // info.bits_per_digit
-    return digits + n_cols * (2 * sys.getsizeof(1) + 64)
+
+    def triangle(cols: int, per_entry: int) -> int:
+        digits = cols * (cols + 1) // 2 * info.sizeof_digit // info.bits_per_digit
+        return digits + cols * (sys.getsizeof(1) + per_entry)
+
+    echelon = triangle(n_cols, sys.getsizeof(1) + 64)
+    return echelon + sum(triangle(cols, 8) for cols in (n_cols, *held_cols))
 
 
-def _numeral(word: tuple[int, ...], d: int) -> int:
-    col = 0
-    for letter in word:
-        col = col * d + letter - 1
-    return col
+def _image(table: list[int], vec: int) -> int:
+    """Image of a column vector under a degree's normal-form table."""
+    out = 0
+    while vec:
+        low = vec.bit_length() - 1
+        out ^= table[low]
+        vec ^= 1 << low
+    return out
 
 
-def _ideal_rows(d: int, relators, degrees, n: int):
-    """Column lists of u * rho * v in degree n: relator, then |u| ascending,
-    then u and v in lexicographic order."""
-    for rel, h in zip(relators, degrees):
-        cols = [_numeral(word, d) for _, word in rel.terms]
-        for a in range(n - h + 1):
-            v_count = d ** (n - h - a)
-            mids = [c * v_count for c in cols]
-            for u in range(0, d**n, d ** (n - a)):
-                for v in range(v_count):
-                    yield [u + m + v for m in mids]
+def _relator_rows(words, tables, dims, n: int):
+    """q' * rho in degree n for every relator rho of degree h <= n and every
+    normal word q' of degree n - h, as a row over the columns (a, q)."""
+    for terms in words:
+        h = len(terms[0])
+        if h > n:
+            continue
+        first = tables[n - h + 1]
+        for i in range(dims[n - h]):
+            row = 0
+            for word in terms:
+                vec = first[(word[0] - 1) * dims[n - h] + i]
+                for k, letter in enumerate(word[1:-1], n - h + 2):
+                    vec = _image(tables[k], vec << (letter - 1) * dims[k - 1])
+                row ^= vec << (word[-1] - 1) * dims[n - 1]
+            yield row
 
 
 def quotient_dims(
@@ -139,27 +164,33 @@ def quotient_dims(
     with the rank bookkeeping per degree.
 
     Relators must be nonzero, pi-free, homogeneous of degree >= 2, and all in
-    that algebra.  Rows are built over the d^n words of each degree, indexed
-    by their base-d numerals; over F2[pi] every column of the profile is the
-    running sum of the F2 one.  Rows are streamed, so only the pivot table of
-    each degree is held; its size is bounded before any row is built, and
-    crossing memory_cap_mib raises MemoryGuardError.
+    that algebra.  Degree n is reduced over the d * dim Q_{n-1} columns
+    (a, q); the rank reported is d^n - dim Q_n.  Over F2[pi] every column of
+    the profile is the running sum of the F2 one.  What a degree holds is
+    bounded before its rows are built, and crossing memory_cap_mib raises
+    MemoryGuardError.
     """
     relators = tuple(relators)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     degrees = _check_relators(unit_alphabet(d), relators, ring)
-    counts = [d**n for n in range(n_max + 1)]
-    for n, count in enumerate(counts):
-        estimate = _pivot_table_bytes(count)
+    words = [[word for _, word in rel.terms] for rel in relators]
+    held = max(degrees, default=2) - 1
+    dims = [1]
+    tables: dict[int, list[int]] = {}
+    for n in range(1, n_max + 1):
+        n_cols = d * dims[n - 1]
+        estimate = _degree_bytes(n_cols, [len(table) for table in tables.values()])
         if estimate > memory_cap_mib * 2**20:
             raise MemoryGuardError(
                 f"degree {n} needs about {-(-estimate // 2**20)} MiB of rows,"
                 f" above the {memory_cap_mib} MiB cap"
             )
-    ranks = [
-        gf2.rank_of_rows(_ideal_rows(d, relators, degrees, n), counts[n]) for n in range(n_max + 1)
-    ]
+        tables[n], dim = gf2.quotient_map(_relator_rows(words, tables, dims, n), n_cols)
+        dims.append(dim)
+        tables.pop(n - held, None)
+    counts = [d**n for n in range(n_max + 1)]
+    ranks = [count - dim for count, dim in zip(counts, dims)]
     if ring == F2PI:
         counts, ranks = list(accumulate(counts)), list(accumulate(ranks))
     return RankProfile(
@@ -226,8 +257,8 @@ def strongly_free_oracle(
     d: int | None = None,
     memory_cap_mib: int = DEFAULT_MEMORY_CAP_MIB,
 ) -> OracleComparison:
-    """Compare brute-force quotient dimensions of quadratic relators against
-    the strongly free prediction (gamma variant over F2[pi]).
+    """Compare the quotient dimensions of quadratic relators against the
+    strongly free prediction (gamma variant over F2[pi]).
 
     Relators are degree-2 objects with .d/.squares/.comms; each must have a
     nonzero quadratic part.  Pass d explicitly for an empty relator list.

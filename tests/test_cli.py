@@ -213,15 +213,26 @@ def test_oracle_f2pi_ring():
 
 
 def test_memory_cap_flag_and_env():
-    code, err = run_err(["oracle", "--primes", EX1, "--max", "6", "--memory-cap-mib", "1"])
+    # degree 8 is bounded at about 3.0 MiB
+    code, err = run_err(["oracle", "--primes", EX1, "--max", "8", "--memory-cap-mib", "2"])
     assert code == 5 and "cap" in err
-    # degree 7 holds a pivot table of about 19 MiB, and nothing larger
-    code, out = run(["oracle", "--primes", EX1, "--max", "7", "--memory-cap-mib", "20"])
+    # degree 7 is bounded at about 0.74 MiB, and nothing before it holds more
+    code, out = run(["oracle", "--primes", EX1, "--max", "7", "--memory-cap-mib", "1"])
     assert code == 0 and out.endswith("verdict = match")
     # a cap below 1 MiB is an input error, not a guard stop
     with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
         cli.main(["oracle", "--primes", EX1, "--max", "6", "--memory-cap-mib", "0"])
     assert exc.value.code == 2
+
+
+def test_unexpected_error_has_its_own_exit_code(monkeypatch):
+    def broken(args):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "_cmd_linking", broken)
+    code, err = run_err(["linking", "--primes", EX1])
+    assert code == 70
+    assert err.splitlines() == ["error: internal: KeyError: 'lost'"]
 
 
 def test_augment_json_and_bound_exit():

@@ -1,4 +1,4 @@
-"""Brute-force quotient oracle: word numerals, GF(2) ranks, series checks."""
+"""Quotient oracle: normal-word recursion against a brute-force span, GF(2) ranks, series checks."""
 
 import itertools
 import random
@@ -11,12 +11,13 @@ from mild2.linking import QuadraticRelator, eliminate_generator, koch_presentati
 from mild2.oracle import (
     MemoryGuardError,
     OracleComparison,
-    _pivot_table_bytes,
+    _degree_bytes,
     independent_in_degree,
     quotient_dims,
     strongly_free_oracle,
 )
 from mild2.quadlie import F2, F2PI, NcPoly, mul, pi_mul, relator_to_poly, unit_alphabet
+from mild2.series import WeightSignature, strongly_free_series
 
 EX1 = (41, 13, 5, 3, 19)
 EX2 = (5, 29, 7, 11, 3)
@@ -107,21 +108,97 @@ def test_quotient_dims_row_operation_invariance():
 
 
 def test_quotient_dims_memory_guard():
-    with pytest.raises(MemoryGuardError):
-        quotient_dims(4, reduced_polys(EX1), 6, memory_cap_mib=1)
-    # generous cap passes
-    quotient_dims(4, reduced_polys(EX1), 3, memory_cap_mib=64)
+    # degree 7 is bounded at about 0.74 MiB, degree 8 at about 3.0 MiB
+    with pytest.raises(MemoryGuardError, match="degree 8 .* above the 2 MiB cap"):
+        quotient_dims(4, reduced_polys(EX1, n_max=8), 8, memory_cap_mib=2)
+    quotient_dims(4, reduced_polys(EX1, n_max=7), 7, memory_cap_mib=1)
 
 
 def test_pivot_table_estimate_covers_the_measured_peak():
-    polys = reduced_polys(EX1)
+    polys = reduced_polys(EX1, n_max=8)
     tracemalloc.start()
     try:
-        quotient_dims(4, polys, 6)
+        profile = quotient_dims(4, polys, 8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert _pivot_table_bytes(4**6) >= peak
+    dims = profile.dims().values
+    estimate = max(_degree_bytes(4 * dims[n - 1], [4 * dims[n - 2]]) for n in range(2, 9))
+    assert estimate >= peak
+
+
+def numeral(word, d):
+    col = 0
+    for letter in word:
+        col = col * d + letter - 1
+    return col
+
+
+def ideal_rows(d, polys, n):
+    """Column lists of u * rho * v in degree n over the d^n words of degree n,
+    each word indexed by its base-d numeral."""
+    for rho in polys:
+        h = rho.degree()
+        cols = [numeral(word, d) for _, word in rho.terms]
+        for a in range(n - h + 1):
+            v_count = d ** (n - h - a)
+            mids = [c * v_count for c in cols]
+            for u in range(0, d**n, d ** (n - a)):
+                for v in range(v_count):
+                    yield [u + m + v for m in mids]
+
+
+def brute_force_profile(d, polys, n_max, ring):
+    """The quotient profile from the rank of every u * rho * v in each degree;
+    over F2[pi], running sums of the F2 columns."""
+    counts = [d**n for n in range(n_max + 1)]
+    ranks = [gf2.rank_of_rows(ideal_rows(d, polys, n), counts[n]) for n in range(n_max + 1)]
+    if ring == F2PI:
+        counts, ranks = list(itertools.accumulate(counts)), list(itertools.accumulate(ranks))
+    return [(n, counts[n], ranks[n], counts[n] - ranks[n]) for n in range(n_max + 1)]
+
+
+def random_relators(rng, d, ring, n_max):
+    """Nonzero relators of degree 2 and 3; about one in four restates an
+    earlier one (a copy, a sum of two, or a letter times one), so the ideal
+    is not strongly free."""
+    alphabet = unit_alphabet(d)
+    polys = []
+    for _ in range(rng.randint(1, 4)):
+        if polys and rng.random() < 0.25:
+            rho = rng.choice(polys)
+            same = [p for p in polys if p.degree() == rho.degree() and p != rho]
+            kind = rng.randrange(3)
+            if kind == 1 and same:
+                polys.append(rho + rng.choice(same))
+            elif kind == 2 and rho.degree() == 2:
+                letter = NcPoly(alphabet, ring, n_max, {(0, (rng.randint(1, d),))})
+                polys.append(mul(letter, rho) if rng.random() < 0.5 else mul(rho, letter))
+            else:
+                polys.append(rho)
+            continue
+        words = list(itertools.product(range(1, d + 1), repeat=rng.choice((2, 3))))
+        terms = rng.sample(words, rng.randint(1, min(4, len(words))))
+        polys.append(NcPoly(alphabet, ring, n_max, {(0, w) for w in terms}))
+    return polys
+
+
+def test_normal_word_recursion_matches_brute_force_on_random_relators():
+    rng = random.Random(20090)
+    not_strongly_free = 0
+    for trial in range(160):
+        d = 1 + trial % 4
+        n_max = 4 if d == 4 else 5
+        polys = random_relators(rng, d, F2, n_max)
+        for ring in (F2, F2PI):
+            in_ring = [NcPoly(unit_alphabet(d), ring, n_max, p.terms) for p in polys]
+            profile = profile_rows(quotient_dims(d, in_ring, n_max, ring))
+            assert profile == brute_force_profile(d, in_ring, n_max, ring), (trial, ring)
+            if ring == F2:
+                dims = tuple(row[3] for row in profile)
+        sig = WeightSignature((1,) * d, tuple(p.degree() for p in polys))
+        not_strongly_free += dims != strongly_free_series(sig, n_max).coeffs
+    assert 20 <= not_strongly_free <= 140
 
 
 def pi_span_reference(d, polys, ring):
@@ -190,10 +267,9 @@ def test_quotient_dims_rejects_pi_bearing_relators():
 
 
 def test_f2pi_memory_guard_sizes_the_f2_matrix():
-    # the guard sizes the pivot table of the 4096 F2 columns (about 1.5 MiB);
-    # one over the 5461 F2[pi] columns of degree <= 6 would be about 2.5 MiB
-    profile = quotient_dims(4, reduced_polys(EX1, ring=F2PI), 6, ring=F2PI, memory_cap_mib=2)
-    assert profile.dims().values == (1, 5, 17, 49, 129, 321, 769)
+    # F2[pi] runs the F2 recursion, so it fits the cap that F2 degree 7 fits
+    profile = quotient_dims(4, reduced_polys(EX1, ring=F2PI, n_max=7), 7, ring=F2PI, memory_cap_mib=1)
+    assert profile.dims().values == (1, 5, 17, 49, 129, 321, 769, 1793)
 
 
 def test_strongly_free_oracle_examples_match():
@@ -204,6 +280,12 @@ def test_strongly_free_oracle_examples_match():
         assert cmp_f2.expected_dims == cmp_f2.oracle_dims
     cmp_pi = strongly_free_oracle(reduced(EX1), 4, ring=F2PI)
     assert cmp_pi.match and cmp_pi.oracle_dims == (1, 5, 17, 49, 129)
+
+
+@pytest.mark.parametrize("primes", [EX1, EX2])
+def test_degree_eight_certificate(primes):
+    cmp = strongly_free_oracle(reduced(primes), 8)
+    assert cmp.match and cmp.oracle_dims[-2:] == (1024, 2304)
 
 
 def test_strongly_free_oracle_negative_control():
