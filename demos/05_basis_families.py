@@ -42,7 +42,7 @@ print()
 
 # Evaluating the degree-3 family in the enveloping algebra over F2 gives
 # linearly independent polynomials, as a basis must.
-polys = [evaluate(w, X, "F2", 6) for w in family[3]]
+polys = [evaluate(w, X, "F2") for w in family[3]]
 for w, p in zip(family[3], polys):
     print(f"{render_bracket(w)} = {p}")
 print("rank:", independent_in_degree(polys))

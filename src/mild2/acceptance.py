@@ -274,7 +274,7 @@ def criterion_7() -> CriterionResult:
                 )
                 continue
             if words:
-                polys = [evaluate(w, alphabet, F2, deg) for w in words]
+                polys = [evaluate(w, alphabet, F2) for w in words]
                 if independent_in_degree(polys) != len(words):
                     problems += f"weights {alphabet.weights} degree {deg}: images dependent; "
         if alphabet.d < 2:
@@ -287,7 +287,7 @@ def criterion_7() -> CriterionResult:
             for w in words:
                 by_degree.setdefault(bracket_weight(w, alphabet), []).append(w)
             for deg, ws in by_degree.items():
-                polys = [evaluate(w, alphabet, F2, deg) for w in ws]
+                polys = [evaluate(w, alphabet, F2) for w in ws]
                 if independent_in_degree(polys) != len(ws):
                     problems += (
                         f"weights {alphabet.weights} sigma {sigma} degree {deg}: dependent; "
@@ -326,18 +326,17 @@ def criterion_9() -> CriterionResult:
     problems = ""
     rng = random.Random(20260814)
     alphabet = unit_alphabet(4)
-    n_max = 5
 
     def random_degree1(ring):
         while True:
             picks = [i for i in range(1, 5) if rng.random() < 0.5]
             if picks:
-                return NcPoly.from_monomials(alphabet, ring, n_max, [(0, (i,)) for i in picks])
+                return NcPoly.from_monomials(alphabet, ring, [(0, (i,)) for i in picks])
 
     def random_homogeneous(ring, degree):
         words = list(itertools.product(range(1, 5), repeat=degree))
         picks = rng.sample(words, k=min(len(words), rng.randint(1, 4)))
-        return NcPoly.from_monomials(alphabet, ring, n_max, [(0, w) for w in picks])
+        return NcPoly.from_monomials(alphabet, ring, [(0, w) for w in picks])
 
     ql1_bad = ql2_bad = 0
     for _ in range(1000):

@@ -202,7 +202,10 @@ def check_mild(
             verdict, criterion = "mild", "circuit"
             witness = parity_partition(pres.d)
         else:
-            witness = find_mild_partition(relators)
+            # an empty relator set passes the rank criterion on every
+            # partition, so the first in the search order, the parity split,
+            # is the witness
+            witness = find_mild_partition(relators) if relators else parity_partition(pres.d)
             if witness is not None:
                 verdict, criterion = "mild", "rank"
             else:

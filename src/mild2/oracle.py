@@ -254,33 +254,21 @@ def strongly_free_oracle(
     n_max: int,
     ring: str = F2,
     *,
-    d: int | None = None,
     memory_cap_mib: int = DEFAULT_MEMORY_CAP_MIB,
 ) -> OracleComparison:
     """Compare the quotient dimensions of quadratic relators against the
     strongly free prediction (gamma variant over F2[pi]).
 
-    Relators are degree-2 objects with .d/.squares/.comms; each must have a
-    nonzero quadratic part.  Pass d explicitly for an empty relator list.
+    Relators are degree-2 objects with .d/.squares/.comms, at least one,
+    all on the same d generators and each nonzero.
     """
     relators = tuple(relators)
     if n_max < 2:
         raise ValueError("the oracle needs n_max >= 2")
-    if relators:
-        inferred = {rel.d for rel in relators}
-        if len(inferred) != 1:
-            raise ValueError(f"relators disagree on the generator count: {sorted(inferred)}")
-        if d is not None and d != inferred.pop():
-            raise ValueError("explicit d contradicts the relators")
-        d = relators[0].d
-    elif d is None:
-        raise ValueError("an empty relator list needs an explicit d")
-    polys = []
-    for k, rel in enumerate(relators, 1):
-        poly = relator_to_poly(rel, ring, n_max)
-        if poly.is_zero:
-            raise ValueError(f"relator {k} has zero quadratic part; the oracle needs degree-2 forms")
-        polys.append(poly)
+    if not relators:
+        raise ValueError("the oracle needs at least one relator")
+    d = relators[0].d
+    polys = [relator_to_poly(rel, ring) for rel in relators]
     profile = quotient_dims(d, polys, n_max, ring, memory_cap_mib=memory_cap_mib)
     sig = WeightSignature((1,) * d, (2,) * len(relators))
     series = strongly_free_series(sig, n_max) if ring == F2 else gamma_series(sig, n_max)

@@ -1,5 +1,5 @@
-"""Degree-truncated free associative algebras over F2 and F2[pi], the
-square/bracket operators on them, and the basis-word enumerations.
+"""Free associative algebras over F2 and F2[pi], the square/bracket
+operators on them, and the basis-word enumerations.
 
 A polynomial is a set of monomials, each with coefficient 1: coefficients
 live in F2, so addition is symmetric difference.  A monomial is a pair
@@ -25,6 +25,8 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 from typing import Union
+
+from .arith import BoundExceededError
 
 F2 = "F2"
 F2PI = "F2pi"
@@ -89,28 +91,22 @@ def _mono_str(mono: Monomial) -> str:
 
 @dataclass(frozen=True)
 class NcPoly:
-    """An element of the truncated free associative algebra.
+    """An element of the free associative algebra.
 
-    terms is a frozenset of (pi_exp, word) monomials, every one of degree at
-    most n_max.  Multiplication silently drops monomials past the cap.
+    terms is a frozenset of (pi_exp, word) monomials.
     """
 
     alphabet: WeightedAlphabet
     ring: str
-    n_max: int
     terms: frozenset
 
     def __post_init__(self):
         if self.ring not in RINGS:
             raise ValueError(f"ring must be one of {RINGS}, got {self.ring!r}")
-        if self.n_max < 0:
-            raise ValueError(f"n_max must be >= 0, got {self.n_max}")
         object.__setattr__(self, "terms", frozenset(self.terms))
         for k, word in self.terms:
             if k < 0 or (k > 0 and self.ring == F2):
                 raise ValueError(f"bad pi exponent {k} for ring {self.ring}")
-            if self._mono_degree((k, word)) > self.n_max:
-                raise ValueError(f"monomial {_mono_str((k, word))} exceeds degree cap {self.n_max}")
             self.alphabet.word_weight(word)  # validates letter indices via weight lookup
 
     def _mono_degree(self, mono: Monomial) -> int:
@@ -118,23 +114,17 @@ class NcPoly:
         return k + self.alphabet.word_weight(word)
 
     @classmethod
-    def zero(cls, alphabet: WeightedAlphabet, ring: str, n_max: int) -> "NcPoly":
-        return cls(alphabet, ring, n_max, frozenset())
+    def generator(cls, alphabet: WeightedAlphabet, i: int, ring: str) -> "NcPoly":
+        """The letter xi as a polynomial."""
+        return cls(alphabet, ring, frozenset({(0, (i,))}))
 
     @classmethod
-    def generator(cls, alphabet: WeightedAlphabet, i: int, ring: str, n_max: int) -> "NcPoly":
-        """The letter xi as a polynomial; zero if its weight exceeds n_max."""
-        if alphabet.weight(i) > n_max:
-            return cls.zero(alphabet, ring, n_max)
-        return cls(alphabet, ring, n_max, frozenset({(0, (i,))}))
-
-    @classmethod
-    def from_monomials(cls, alphabet, ring, n_max, monomials) -> "NcPoly":
+    def from_monomials(cls, alphabet, ring, monomials) -> "NcPoly":
         """Build a polynomial from (pi_exp, word) pairs, XOR-folding repeats."""
         acc: set[Monomial] = set()
         for k, word in monomials:
             acc.symmetric_difference_update({(int(k), tuple(word))})
-        return cls(alphabet, ring, n_max, frozenset(acc))
+        return cls(alphabet, ring, frozenset(acc))
 
     @property
     def is_zero(self) -> bool:
@@ -160,10 +150,7 @@ class NcPoly:
 
     def __add__(self, other: "NcPoly") -> "NcPoly":
         _check_compatible(self, other)
-        return NcPoly(self.alphabet, self.ring, self.n_max, self.terms ^ other.terms)
-
-    def __mul__(self, other: "NcPoly") -> "NcPoly":
-        return mul(self, other)
+        return NcPoly(self.alphabet, self.ring, self.terms ^ other.terms)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -176,29 +163,23 @@ def _check_compatible(u: NcPoly, v: NcPoly) -> None:
         raise ValueError("alphabet mismatch")
     if u.ring != v.ring:
         raise ValueError(f"ring mismatch: {u.ring} vs {v.ring}")
-    if u.n_max != v.n_max:
-        raise ValueError(f"truncation mismatch: {u.n_max} vs {v.n_max}")
 
 
 def mul(u: NcPoly, v: NcPoly) -> NcPoly:
-    """Product by concatenation, truncated past the degree cap."""
+    """Product by concatenation."""
     _check_compatible(u, v)
-    cap = u.n_max
     acc: set[Monomial] = set()
     for k1, w1 in u.terms:
-        d1 = k1 + u.alphabet.word_weight(w1)
         for k2, w2 in v.terms:
-            if d1 + k2 + v.alphabet.word_weight(w2) <= cap:
-                acc.symmetric_difference_update({(k1 + k2, w1 + w2)})
-    return NcPoly(u.alphabet, u.ring, cap, frozenset(acc))
+            acc.symmetric_difference_update({(k1 + k2, w1 + w2)})
+    return NcPoly(u.alphabet, u.ring, frozenset(acc))
 
 
 def pi_mul(u: NcPoly) -> NcPoly:
     """Multiply by the central variable pi (F2[pi] ring only)."""
     if u.ring != F2PI:
         raise ValueError("pi_mul is only defined over F2pi")
-    acc = {(k + 1, word) for k, word in u.terms if k + 1 + u.alphabet.word_weight(word) <= u.n_max}
-    return NcPoly(u.alphabet, u.ring, u.n_max, frozenset(acc))
+    return NcPoly(u.alphabet, u.ring, frozenset((k + 1, word) for k, word in u.terms))
 
 
 def bracket(u: NcPoly, v: NcPoly) -> NcPoly:
@@ -271,32 +252,27 @@ def render_bracket(word: BracketWord) -> str:
     return f"[{render_bracket(word.left)},{render_bracket(word.right)}]"
 
 
-def evaluate(word: BracketWord, alphabet: WeightedAlphabet, ring: str, n_max: int) -> NcPoly:
-    """Evaluate a bracket word in the truncated algebra.
+def evaluate(word: BracketWord, alphabet: WeightedAlphabet, ring: str) -> NcPoly:
+    """Evaluate a bracket word in the free associative algebra.
 
-    Squares P(xi) require a weight-1 letter.  Anything whose weight exceeds
-    n_max evaluates to zero.
+    Squares P(xi) require a weight-1 letter.
     """
     if isinstance(word, Leaf):
-        return NcPoly.generator(alphabet, word.index, ring, n_max)
+        return NcPoly.generator(alphabet, word.index, ring)
     if isinstance(word, Square):
         if alphabet.weight(word.arg.index) != 1:
             raise ValueError(f"P(x{word.arg.index}) needs a weight-1 letter")
-        if 2 > n_max:
-            return NcPoly.zero(alphabet, ring, n_max)
-        arg = evaluate(word.arg, alphabet, ring, n_max)
+        arg = evaluate(word.arg, alphabet, ring)
         return p_quad(arg) if ring == F2 else p_mixed(arg)
-    left = evaluate(word.left, alphabet, ring, n_max)
-    right = evaluate(word.right, alphabet, ring, n_max)
-    return bracket(left, right)
+    return bracket(evaluate(word.left, alphabet, ring), evaluate(word.right, alphabet, ring))
 
 
-def relator_to_poly(relator, ring: str, n_max: int) -> NcPoly:
+def relator_to_poly(relator, ring: str) -> NcPoly:
     """Degree-2 polynomial sum(squares_i * xi*xi) + sum(comms (i,j) of xi*xj + xj*xi)
     in the algebra on relator.d letters of weight 1.
 
-    The relator provides .d, .squares and .comms; pi never appears.  With
-    n_max < 2 the image truncates to zero.
+    The relator provides .d, .squares and .comms; pi never appears, and the
+    image is zero exactly when the relator is.
     """
     monos: list[Monomial] = []
     for i, bit in enumerate(relator.squares, start=1):
@@ -305,13 +281,26 @@ def relator_to_poly(relator, ring: str, n_max: int) -> NcPoly:
     for i, j in relator.comms:
         monos.append((0, (i, j)))
         monos.append((0, (j, i)))
-    if n_max < 2:
-        monos = []
-    return NcPoly.from_monomials(unit_alphabet(relator.d), ring, n_max, monos)
+    return NcPoly.from_monomials(unit_alphabet(relator.d), ring, monos)
 
 
 # ---------------------------------------------------------------------------
 # Basis-word enumerations.
+
+# Most bracket words one enumeration may build; 10^5 deep ad-chains hold
+# about 160 MiB.
+MAX_BASIS_WORDS = 10**5
+
+
+def _check_word_budget(what: str, counts) -> None:
+    """Raise BoundExceededError once the running sum of counts, the words an
+    enumeration would build, passes MAX_BASIS_WORDS.  counts is read lazily,
+    so an unbounded request stops at the first term past the limit."""
+    total = 0
+    for count in counts:
+        total += count
+        if total > MAX_BASIS_WORDS:
+            raise BoundExceededError(f"{what} would build more than {MAX_BASIS_WORDS} bracket words")
 
 
 def _ad_chain(chain: tuple[int, ...], core: BracketWord) -> BracketWord:
@@ -345,6 +334,17 @@ def enumerate_y(alphabet: WeightedAlphabet, k_max: int) -> dict[int, list[Bracke
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
     m, d = alphabet.m, alphabet.d
+    k_top = min(k_max, m + 1)  # every family below is empty for k > m + 1
+    _check_word_budget(
+        "enumerate_y",
+        itertools.chain(  # families (1) and (2), then (3), (4) and (5) for each k
+            (m + comb(m, 2) + (d - m) + m * (d - m),),
+            (
+                comb(m, k - 2) * (m - k + 2) + comb(m, k) * (k - 1) + comb(m, k - 1) * (d - m)
+                for k in range(3, k_top + 1)
+            ),
+        ),
+    )
     grouped: dict[int, list[BracketWord]] = {}
 
     def put(word: BracketWord) -> None:
@@ -361,7 +361,7 @@ def enumerate_y(alphabet: WeightedAlphabet, k_max: int) -> dict[int, list[Bracke
     for i in range(1, m + 1):
         for j in range(m + 1, d + 1):
             put(Bracket(Leaf(i), Leaf(j)))
-    for k in range(3, k_max + 1):
+    for k in range(3, k_top + 1):
         for combo in itertools.combinations(range(1, m + 1), k - 2):
             run = tuple(reversed(combo))  # i_1 > ... > i_{k-2}
             for j in range(1, m + 1):
@@ -418,7 +418,9 @@ def elimination_basis(
         return [Leaf(i) for i in rest if alphabet.weight(i) <= n_max]
     min_sig = min(alphabet.weight(i) for i in sig)
     min_rest = min(alphabet.weight(i) for i in rest)
-    for n in range((n_max - min_rest) // min_sig + 1):
+    lengths = range((n_max - min_rest) // min_sig + 1)
+    _check_word_budget("elimination_basis", (len(sig) ** n * len(rest) for n in lengths))
+    for n in lengths:
         for chain in itertools.product(sig, repeat=n):
             base = sum(alphabet.weight(i) for i in chain)
             for target in rest:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -103,6 +104,17 @@ def test_check_mild_not_shown_exit_code(tmp_path):
     assert json.loads(out)["verdict"] == "not_shown"
 
 
+def test_check_mild_empty_relator_set_reports_the_parity_split(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"a": [0, 0], "relators": []}))
+    code, out = run(["check-mild", "--in", str(path), "--format", "text"])
+    assert code == 0
+    assert out.splitlines() == ["verdict = mild", "criterion = rank", "witness: S = {1}, Sp = {2}"]
+    # one prime: eliminating it leaves d = 0, whose parity split is empty
+    code, out = run(["check-mild", "--primes", "3", "--format", "text"])
+    assert code == 0 and "witness: S = {}, Sp = {}" in out.splitlines()
+
+
 def test_check_mild_oracle_depth():
     code, out = run(["check-mild", "--primes", EX1, "--oracle-depth", "4", "--format", "text"])
     assert code == 0
@@ -198,6 +210,19 @@ def test_oracle_match_and_mismatch_exit_codes(tmp_path):
     assert code == 1 and "mismatch at degree 3" in out
 
 
+@pytest.mark.parametrize(
+    "relators, message",
+    [
+        ([], "error: the oracle needs at least one relator"),
+        ([{"owner": 1, "square": 0, "comms": []}], "error: relator 1 is zero"),
+    ],
+)
+def test_oracle_refuses_empty_and_zero_relators(tmp_path, relators, message):
+    path = tmp_path / "relators.json"
+    path.write_text(json.dumps({"a": [0, 0], "relators": relators}))
+    assert run_err(["oracle", "--in", str(path)]) == (2, message)
+
+
 def test_oracle_json_payload():
     code, out = run(["oracle", "--primes", EX1, "--max", "3", "--format", "json"])
     assert code == 0
@@ -255,6 +280,38 @@ def test_basis_outputs():
     assert code == 0
     blob = json.loads(out)
     assert blob["by_degree"]["2"] == ["P(x1)", "P(x2)", "[x1,x2]", "x3"]
+
+
+def test_basis_word_limit_stops_before_enumerating():
+    # sum over n < 24 of 3^n chains: about 1.4e11 words
+    argv = ["basis", "--kind", "elimination", "--weights", "1,1,1,1", "--sigma", "1,2,3", "--max", "24"]
+    started = time.perf_counter()
+    code, err = run_err(argv)
+    assert time.perf_counter() - started < 1
+    assert code == 5 and err == "error: elimination_basis would build more than 100000 bracket words"
+    code, err = run_err(["basis", "--kind", "y", "--weights", ",".join(["1"] * 40), "--max", "6"])
+    assert code == 5 and err == "error: enumerate_y would build more than 100000 bracket words"
+
+
+def test_basis_word_limit_admits_criterion_7_and_the_readme_example():
+    # criterion 7's largest inputs: four weight-1 letters, enumerate_y to 6 and sigma = {1, 2} to 5
+    for argv in (
+        ["basis", "--kind", "y", "--weights", "1,1,1,1", "--max", "6"],
+        ["basis", "--kind", "elimination", "--weights", "1,1,1,1", "--sigma", "1,2", "--max", "5"],
+    ):
+        assert run(argv)[0] == 0
+    code, out = run(["basis", "--kind", "elimination", "--weights", "1,1,1", "--sigma", "1", "--max", "4"])
+    assert code == 0
+    assert out.splitlines() == [
+        "1: x2",
+        "1: x3",
+        "2: [x1,x2]",
+        "2: [x1,x3]",
+        "3: [x1,[x1,x2]]",
+        "3: [x1,[x1,x3]]",
+        "4: [x1,[x1,[x1,x2]]]",
+        "4: [x1,[x1,[x1,x3]]]",
+    ]
 
 
 def test_argparse_rejects_unknown_subcommand():

@@ -18,6 +18,7 @@ from mild2.linking import (
     ordered_prime_set,
     validate_augmentation,
 )
+from mild2.quadlie import F2, NcPoly, mul, relator_to_poly, unit_alphabet
 
 EX1 = (41, 13, 5, 3, 19)
 EX2 = (5, 29, 7, 11, 3)
@@ -208,6 +209,57 @@ def test_eliminate_square_expansion():
     pres_d = Presentation(3, (rel_other,), product_relation=(0, 0, 1))
     reduced_d = eliminate_generator(pres_d, t=3)
     assert [r.text() for r in reduced_d.relators] == ["1"]
+
+
+def substituted(poly, t, c):
+    """poly with xt replaced by the sum of xj over j != t with c_j = 1, and the
+    letters above t renamed one lower, in the algebra on d - 1 letters."""
+    alphabet = poly.alphabet
+    image = {i: NcPoly.generator(alphabet, i, F2) for i in range(1, alphabet.d + 1)}
+    image[t] = NcPoly.from_monomials(
+        alphabet, F2, [(0, (j,)) for j in range(1, alphabet.d + 1) if j != t and c[j - 1]]
+    )
+    total = NcPoly(alphabet, F2, frozenset())
+    for _, word in poly.terms:
+        term = image[word[0]]
+        for letter in word[1:]:
+            term = mul(term, image[letter])
+        total = total + term
+    shift = lambda i: i - 1 if i > t else i
+    renamed = [(k, tuple(shift(i) for i in word)) for k, word in total.terms]
+    return NcPoly.from_monomials(unit_alphabet(alphabet.d - 1), F2, renamed)
+
+
+def random_presentation(rng, d):
+    relators = []
+    for owner in range(1, d + 1):
+        if rng.random() < 0.8:
+            squares = [int(rng.random() < 0.3) for _ in range(d)]
+            comms = {(i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1) if rng.random() < 0.4}
+            relators.append(QuadraticRelator(d, squares, comms, owner=owner))
+    product = [0] * d
+    while not any(product):
+        product = [int(rng.random() < 0.5) for _ in range(d)]
+    return Presentation(d, relators, product_relation=product)
+
+
+def test_elimination_agrees_with_polynomial_substitution():
+    # x_t = prod_{j != t, c_j = 1} x_j enters the degree-2 initial forms as
+    # x_t -> sum of those x_j; relator t is dropped and the letters above t shift down
+    rng = random.Random(316)
+    eliminations = 0
+    for trial in range(240):
+        pres = random_presentation(rng, 2 + trial % 6)
+        c = pres.product_relation
+        for t in (i for i, bit in enumerate(c, 1) if bit):
+            reduced = eliminate_generator(pres, t)
+            kept = [rel for rel in pres.relators if rel.owner != t]
+            assert len(kept) == len(reduced.relators), (trial, t)
+            for rel, new in zip(kept, reduced.relators):
+                expected = substituted(relator_to_poly(rel, F2), t, c)
+                assert relator_to_poly(new, F2) == expected, (trial, t, rel.text())
+            eliminations += 1
+    assert eliminations >= 400
 
 
 def test_presentation_owner_uniqueness():

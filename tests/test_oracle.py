@@ -27,8 +27,8 @@ def reduced(primes):
     return eliminate_generator(koch_presentation(primes)).relators
 
 
-def reduced_polys(primes, ring=F2, n_max=6):
-    return [relator_to_poly(rel, ring, n_max) for rel in reduced(primes)]
+def reduced_polys(primes, ring=F2):
+    return [relator_to_poly(rel, ring) for rel in reduced(primes)]
 
 
 def test_gf2_pack_and_rank_small():
@@ -110,12 +110,12 @@ def test_quotient_dims_row_operation_invariance():
 def test_quotient_dims_memory_guard():
     # degree 7 is bounded at about 0.74 MiB, degree 8 at about 3.0 MiB
     with pytest.raises(MemoryGuardError, match="degree 8 .* above the 2 MiB cap"):
-        quotient_dims(4, reduced_polys(EX1, n_max=8), 8, memory_cap_mib=2)
-    quotient_dims(4, reduced_polys(EX1, n_max=7), 7, memory_cap_mib=1)
+        quotient_dims(4, reduced_polys(EX1), 8, memory_cap_mib=2)
+    quotient_dims(4, reduced_polys(EX1), 7, memory_cap_mib=1)
 
 
 def test_pivot_table_estimate_covers_the_measured_peak():
-    polys = reduced_polys(EX1, n_max=8)
+    polys = reduced_polys(EX1)
     tracemalloc.start()
     try:
         profile = quotient_dims(4, polys, 8)
@@ -158,7 +158,7 @@ def brute_force_profile(d, polys, n_max, ring):
     return [(n, counts[n], ranks[n], counts[n] - ranks[n]) for n in range(n_max + 1)]
 
 
-def random_relators(rng, d, ring, n_max):
+def random_relators(rng, d, ring):
     """Nonzero relators of degree 2 and 3; about one in four restates an
     earlier one (a copy, a sum of two, or a letter times one), so the ideal
     is not strongly free."""
@@ -172,14 +172,14 @@ def random_relators(rng, d, ring, n_max):
             if kind == 1 and same:
                 polys.append(rho + rng.choice(same))
             elif kind == 2 and rho.degree() == 2:
-                letter = NcPoly(alphabet, ring, n_max, {(0, (rng.randint(1, d),))})
+                letter = NcPoly(alphabet, ring, {(0, (rng.randint(1, d),))})
                 polys.append(mul(letter, rho) if rng.random() < 0.5 else mul(rho, letter))
             else:
                 polys.append(rho)
             continue
         words = list(itertools.product(range(1, d + 1), repeat=rng.choice((2, 3))))
         terms = rng.sample(words, rng.randint(1, min(4, len(words))))
-        polys.append(NcPoly(alphabet, ring, n_max, {(0, w) for w in terms}))
+        polys.append(NcPoly(alphabet, ring, {(0, w) for w in terms}))
     return polys
 
 
@@ -189,9 +189,9 @@ def test_normal_word_recursion_matches_brute_force_on_random_relators():
     for trial in range(160):
         d = 1 + trial % 4
         n_max = 4 if d == 4 else 5
-        polys = random_relators(rng, d, F2, n_max)
+        polys = random_relators(rng, d, F2)
         for ring in (F2, F2PI):
-            in_ring = [NcPoly(unit_alphabet(d), ring, n_max, p.terms) for p in polys]
+            in_ring = [NcPoly(unit_alphabet(d), ring, p.terms) for p in polys]
             profile = profile_rows(quotient_dims(d, in_ring, n_max, ring))
             assert profile == brute_force_profile(d, in_ring, n_max, ring), (trial, ring)
             if ring == F2:
@@ -201,14 +201,14 @@ def test_normal_word_recursion_matches_brute_force_on_random_relators():
     assert 20 <= not_strongly_free <= 140
 
 
-def pi_span_reference(d, polys, ring):
-    """Quotient profile by spanning pi^k * u * rho * v with NcPoly arithmetic
-    (k = 0 over F2), ranked on each degree's monomial support."""
-    n_max = polys[0].n_max
+def pi_span_reference(d, polys, n_max, ring):
+    """Quotient profile through degree n_max by spanning pi^k * u * rho * v
+    with NcPoly arithmetic (k = 0 over F2), ranked on each degree's monomial
+    support."""
     alphabet = unit_alphabet(d)
 
     def word(w):
-        return NcPoly(alphabet, ring, n_max, {(0, w)})
+        return NcPoly(alphabet, ring, {(0, w)})
 
     profile = []
     for n in range(n_max + 1):
@@ -235,40 +235,40 @@ def profile_rows(profile):
 
 def test_f2pi_profile_matches_pi_span_reference():
     for primes in (EX1, EX2):
-        polys = reduced_polys(primes, ring=F2PI, n_max=4)
+        polys = reduced_polys(primes, ring=F2PI)
         profile = quotient_dims(4, polys, 4, ring=F2PI)
-        assert profile_rows(profile) == pi_span_reference(4, polys, F2PI)
+        assert profile_rows(profile) == pi_span_reference(4, polys, 4, F2PI)
 
 
 @pytest.mark.parametrize("ring", [F2, F2PI])
 def test_word_numerals_match_span_reference_at_one_and_eleven_letters(ring):
     one = unit_alphabet(1)
-    x = NcPoly.generator(one, 1, ring, 5)
+    x = NcPoly.generator(one, 1, ring)
     polys = [mul(x, x), mul(mul(x, x), x)]
-    assert profile_rows(quotient_dims(1, polys, 5, ring)) == pi_span_reference(1, polys, ring)
+    assert profile_rows(quotient_dims(1, polys, 5, ring)) == pi_span_reference(1, polys, 5, ring)
 
     # two-digit letters: a numeral built by joining digit strings would mis-index x10, x11
     eleven = unit_alphabet(11)
-    x = [None] + [NcPoly.generator(eleven, i, ring, 3) for i in range(1, 12)]
+    x = [None] + [NcPoly.generator(eleven, i, ring) for i in range(1, 12)]
     polys = [
         mul(x[11], x[11]) + mul(x[1], x[11]) + mul(x[11], x[1]),
         mul(x[10], x[11]) + mul(x[2], x[2]),
         mul(mul(x[11], x[3]), x[10]) + mul(mul(x[1], x[11]), x[11]),
     ]
     profile = quotient_dims(11, polys, 3, ring)
-    assert profile_rows(profile) == pi_span_reference(11, polys, ring)
+    assert profile_rows(profile) == pi_span_reference(11, polys, 3, ring)
 
 
 def test_quotient_dims_rejects_pi_bearing_relators():
     alphabet = unit_alphabet(2)
-    x1, x2 = (NcPoly.generator(alphabet, i, F2PI, 3) for i in (1, 2))
+    x1, x2 = (NcPoly.generator(alphabet, i, F2PI) for i in (1, 2))
     with pytest.raises(ValueError, match="carries pi"):
         quotient_dims(2, [mul(x1, x2) + pi_mul(x1)], 3, ring=F2PI)
 
 
 def test_f2pi_memory_guard_sizes_the_f2_matrix():
     # F2[pi] runs the F2 recursion, so it fits the cap that F2 degree 7 fits
-    profile = quotient_dims(4, reduced_polys(EX1, ring=F2PI, n_max=7), 7, ring=F2PI, memory_cap_mib=1)
+    profile = quotient_dims(4, reduced_polys(EX1, ring=F2PI), 7, ring=F2PI, memory_cap_mib=1)
     assert profile.dims().values == (1, 5, 17, 49, 129, 321, 769, 1793)
 
 
@@ -300,8 +300,10 @@ def test_strongly_free_oracle_negative_control():
 
 def test_strongly_free_oracle_rejects_zero_relators():
     zero = QuadraticRelator(2, (0, 0), frozenset())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="relator 1 is zero"):
         strongly_free_oracle((zero,), 3)
+    with pytest.raises(ValueError, match="at least one relator"):
+        strongly_free_oracle((), 3)
 
 
 def test_oracle_comparison_serialization():
@@ -316,14 +318,14 @@ def test_oracle_comparison_serialization():
 
 def test_independent_in_degree():
     alphabet = unit_alphabet(3)
-    x = [None] + [NcPoly.generator(alphabet, i, F2, 4) for i in range(1, 4)]
+    x = [None] + [NcPoly.generator(alphabet, i, F2) for i in range(1, 4)]
     from mild2.quadlie import bracket, mul
 
     polys = [bracket(x[1], x[2]), bracket(x[1], x[3]), bracket(x[2], x[3])]
     assert independent_in_degree(polys) == 3
     polys.append(polys[0] + polys[1])
     assert independent_in_degree(polys) == 3
-    zero = NcPoly.zero(alphabet, F2, 4)
+    zero = NcPoly(alphabet, F2, frozenset())
     assert independent_in_degree([zero, zero]) == 0
     with pytest.raises(ValueError, match="degree"):
         independent_in_degree([x[1], mul(x[1], x[2])])
@@ -332,7 +334,7 @@ def test_independent_in_degree():
 
 def test_oracle_quotient_matches_relator_span_in_degree_two():
     # degree-2 slice: ambient minus span of the relator polynomials themselves
-    polys = reduced_polys(EX2, n_max=2)
+    polys = reduced_polys(EX2)
     span = independent_in_degree(polys)
     profile = quotient_dims(4, polys, 2)
     assert profile.dims().values[2] == 16 - span

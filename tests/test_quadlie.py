@@ -1,4 +1,4 @@
-"""Truncated free algebra over F2 / F2[pi]: arithmetic, P operators, bases."""
+"""Free algebra over F2 / F2[pi]: arithmetic, P operators, bases."""
 
 import random
 
@@ -29,21 +29,19 @@ from mild2.quadlie import (
 )
 
 X = unit_alphabet(3)
-N = 6
 
 
-def gen(i, ring=F2, alphabet=X, n_max=N):
-    return NcPoly.generator(alphabet, i, ring, n_max)
+def gen(i, ring=F2, alphabet=X):
+    return NcPoly.generator(alphabet, i, ring)
 
 
-def rand_poly(rng, ring=F2, alphabet=X, n_max=N, max_deg=3):
+def rand_poly(rng, ring=F2, alphabet=X, max_deg=3):
     monos = []
     for _ in range(rng.randint(1, 6)):
         word = tuple(rng.randint(1, alphabet.d) for _ in range(rng.randint(0, max_deg)))
         k = rng.randint(0, 2) if ring == F2PI else 0
-        if k + len(word) <= n_max:
-            monos.append((k, word))
-    return NcPoly.from_monomials(alphabet, ring, n_max, monos)
+        monos.append((k, word))
+    return NcPoly.from_monomials(alphabet, ring, monos)
 
 
 def test_alphabet_validation():
@@ -62,11 +60,9 @@ def test_alphabet_validation():
 
 def test_ncpoly_validation():
     with pytest.raises(ValueError):
-        NcPoly(X, F2, N, frozenset({(1, (1,))}))  # pi over F2
+        NcPoly(X, F2, frozenset({(1, (1,))}))  # pi over F2
     with pytest.raises(ValueError):
-        NcPoly(X, F2PI, 2, frozenset({(1, (1, 2))}))  # total degree 3 > 2
-    with pytest.raises(ValueError):
-        NcPoly(X, F2, N, frozenset({(0, (4,))}))  # no such letter
+        NcPoly(X, F2, frozenset({(0, (4,))}))  # no such letter
 
 
 def test_addition_is_xor():
@@ -86,16 +82,9 @@ def test_mul_associative_and_distributive():
             assert mul(w, u + v) == mul(w, u) + mul(w, v)
 
 
-def test_truncation_silent_and_strict():
-    x1 = gen(1, n_max=2)
-    x1sq = mul(x1, x1)
-    assert mul(x1sq, x1).is_zero  # degree 3 dropped silently at cap 2
-    assert NcPoly.generator(WeightedAlphabet((1, 2)), 2, F2, 1).is_zero  # weight 2 above cap 1
-
-
 def test_str_rendering():
     x1, x2 = gen(1), gen(2)
-    assert str(NcPoly.zero(X, F2, N)) == "0"
+    assert str(NcPoly(X, F2, frozenset())) == "0"
     assert str(mul(x1, x2) + mul(x2, x1)) == "x1.x2 + x2.x1"
     # canonical term order: degree, then pi exponent, then word
     y = gen(1, F2PI)
@@ -133,8 +122,8 @@ def test_quadratic_identities_random():
     rng = random.Random(31)
     for _ in range(300):
         picks = lambda: [i for i in range(1, 4) if rng.random() < 0.6] or [1]
-        u = NcPoly.from_monomials(X, F2, N, [(0, (i,)) for i in picks()])
-        v = NcPoly.from_monomials(X, F2, N, [(0, (i,)) for i in picks()])
+        u = NcPoly.from_monomials(X, F2, [(0, (i,)) for i in picks()])
+        v = NcPoly.from_monomials(X, F2, [(0, (i,)) for i in picks()])
         s = u + v
         if not s.is_zero:
             assert p_quad(s) == p_quad(u) + p_quad(v) + bracket(u, v)
@@ -146,8 +135,8 @@ def test_mixed_identities_random():
     rng = random.Random(37)
     for _ in range(300):
         picks = lambda: [i for i in range(1, 4) if rng.random() < 0.6] or [2]
-        u = NcPoly.from_monomials(X, F2PI, N, [(0, (i,)) for i in picks()])
-        v = NcPoly.from_monomials(X, F2PI, N, [(0, (i,)) for i in picks()])
+        u = NcPoly.from_monomials(X, F2PI, [(0, (i,)) for i in picks()])
+        v = NcPoly.from_monomials(X, F2PI, [(0, (i,)) for i in picks()])
         s = u + v
         if not s.is_zero:
             assert p_mixed(s) == p_mixed(u) + p_mixed(v) + bracket(u, v)
@@ -176,41 +165,36 @@ def test_render_bracket_and_weight():
 def test_evaluate_square_and_bracket():
     # [x1,[x1,x2]] expands to the two surviving words x1.x1.x2 + x2.x1.x1
     word = Bracket(Leaf(1), Bracket(Leaf(1), Leaf(2)))
-    poly = evaluate(word, X, F2, N)
+    poly = evaluate(word, X, F2)
     x1, x2 = gen(1), gen(2)
     assert poly == mul(mul(x1, x1), x2) + mul(x2, mul(x1, x1))
     # over F2 the same element equals [x1^2, x2]
     assert poly == bracket(p_quad(x1), x2)
-    assert str(evaluate(Square(Leaf(1)), X, F2PI, N)) == "x1.x1 + pi.x1"
+    assert str(evaluate(Square(Leaf(1)), X, F2PI)) == "x1.x1 + pi.x1"
 
 
 def test_evaluate_rejects_square_of_heavy_letter():
     weighted = WeightedAlphabet((1, 2))
     with pytest.raises(ValueError):
-        evaluate(Square(Leaf(2)), weighted, F2, 6)
-
-
-def test_evaluate_truncation_paths():
-    word = Bracket(Leaf(1), Leaf(2))
-    assert evaluate(word, X, F2, 1).is_zero
+        evaluate(Square(Leaf(2)), weighted, F2)
 
 
 def test_relator_to_poly_reduced_relators():
     # frozen from the first worked prime set after elimination
     alphabet = unit_alphabet(4)
     r1 = QuadraticRelator(4, (0, 0, 0, 0), {(1, 2)}, owner=1)
-    p1 = relator_to_poly(r1, F2, 6)
-    x = [None] + [NcPoly.generator(alphabet, i, F2, 6) for i in range(1, 5)]
+    p1 = relator_to_poly(r1, F2)
+    x = [None] + [NcPoly.generator(alphabet, i, F2) for i in range(1, 5)]
     assert p1 == mul(x[1], x[2]) + mul(x[2], x[1])
     r4 = QuadraticRelator(4, (0, 0, 0, 1), {(1, 4), (3, 4)}, owner=4)
-    p4 = relator_to_poly(r4, F2, 6)
+    p4 = relator_to_poly(r4, F2)
     expected = mul(x[4], x[4]) + bracket(x[4], x[1]) + bracket(x[4], x[3])
     assert p4 == expected
     # identical polynomial over F2pi: initial forms never carry pi
-    p4_pi = relator_to_poly(r4, F2PI, 6)
+    p4_pi = relator_to_poly(r4, F2PI)
     assert sorted(p4_pi.terms) == sorted(p4.terms)
     zero = QuadraticRelator(3, (0, 0, 0), frozenset())
-    assert relator_to_poly(zero, F2, 6).is_zero
+    assert relator_to_poly(zero, F2).is_zero
 
 
 def test_enumerate_y_frozen_unit_rank2():
@@ -243,9 +227,9 @@ def test_elimination_basis_frozen_rank2():
     alphabet = unit_alphabet(2)
     words = elimination_basis(alphabet, (1,), 3)
     assert [render_bracket(w) for w in words] == ["x2", "[x1,x2]", "[x1,[x1,x2]]"]
-    poly = evaluate(words[2], alphabet, F2, 3)
-    x1 = NcPoly.generator(alphabet, 1, F2, 3)
-    x2 = NcPoly.generator(alphabet, 2, F2, 3)
+    poly = evaluate(words[2], alphabet, F2)
+    x1 = NcPoly.generator(alphabet, 1, F2)
+    x2 = NcPoly.generator(alphabet, 2, F2)
     assert poly == mul(mul(x1, x1), x2) + mul(x2, mul(x1, x1))
 
 
@@ -283,6 +267,6 @@ def test_ql_bridge_between_square_and_bracket():
     alphabet = unit_alphabet(4)
     for _ in range(100):
         i = rng.randint(1, 4)
-        u = NcPoly.generator(alphabet, i, F2, 5)
-        w = rand_poly(rng, F2, alphabet, 5, max_deg=2)
+        u = NcPoly.generator(alphabet, i, F2)
+        w = rand_poly(rng, F2, alphabet, max_deg=2)
         assert bracket(p_quad(u), w) == bracket(u, bracket(u, w))
