@@ -3,9 +3,9 @@
 Subcommands: linking, present, reduce, check-mild, augment, series, dims,
 oracle, basis, selftest.  Exit codes: 0 success (and mild verdicts),
 2 input errors, 3 not_shown, 4 inapplicable, 5 resource-guard stops
-(memory cap, exhausted search bound, basis word limit), 70 an unexpected
-internal error (one "error: internal:" line); the oracle subcommand exits 1
-on a dimension mismatch.
+(memory cap, exhausted search bound, basis word limit, series size limit),
+70 an unexpected internal error (one "error: internal:" line); the oracle
+subcommand exits 1 on a dimension mismatch.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .quadlie import RINGS, WeightedAlphabet, bracket_weight, elimination_basis,
 from .series import (
     NonRealizableError,
     WeightSignature,
+    check_series_size,
     gamma_series,
     lower_central_dims,
     reduced_dims_bn,
@@ -126,6 +127,7 @@ def _signature_from(args) -> WeightSignature:
     if args.e is not None:
         return WeightSignature(_parse_ints(args.e, "--e"), _parse_ints(args.h or "", "--h"))
     if args.d is not None:
+        check_series_size(args.d + (args.m or 0), 2 if args.m else 1, args.max)
         return WeightSignature((1,) * args.d, (2,) * (args.m or 0))
     raise ValueError("provide --e/--h or --d/--m")
 
@@ -203,32 +205,33 @@ def _cmd_oracle(args) -> int:
 def _cmd_basis(args) -> int:
     alphabet = WeightedAlphabet(_parse_ints(args.weights, "--weights"))
     if args.kind == "y":
-        grouped = enumerate_y(alphabet, args.max)
+        words = enumerate_y(alphabet, args.max)
+        grouped = {deg: [render_bracket(w) for w in ws] for deg, ws in words.items()}
         payload = {
             "kind": "y",
             "weights": list(alphabet.weights),
-            "by_degree": {str(deg): [render_bracket(w) for w in ws] for deg, ws in grouped.items()},
+            "by_degree": {str(deg): ws for deg, ws in grouped.items()},
         }
         lines = []
         for deg, ws in grouped.items():
             lines.append(f"degree {deg} (count {len(ws)}):")
-            lines.extend(f"  {render_bracket(w)}" for w in ws)
+            lines.extend(f"  {w}" for w in ws)
         _emit(args, payload, "\n".join(lines))
         return 0
     if args.sigma is None:
         raise ValueError("--kind elimination needs --sigma")
     sigma = _parse_ints(args.sigma, "--sigma")
-    words = elimination_basis(alphabet, sigma, args.max)
+    words = [
+        {"weight": bracket_weight(w, alphabet), "word": render_bracket(w)}
+        for w in elimination_basis(alphabet, sigma, args.max)
+    ]
     payload = {
         "kind": "elimination",
         "weights": list(alphabet.weights),
         "sigma": sorted(set(sigma)),
-        "words": [
-            {"weight": bracket_weight(w, alphabet), "word": render_bracket(w)} for w in words
-        ],
+        "words": words,
     }
-    lines = [f"{bracket_weight(w, alphabet)}: {render_bracket(w)}" for w in words]
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, payload, "\n".join(f"{w['weight']}: {w['word']}" for w in words))
     return 0
 
 

@@ -494,6 +494,8 @@ def augment(seed, bound: int = DEFAULT_PRIME_BOUND) -> AugmentationResult:
     from .mildness import check_mild  # runtime import: mildness depends on this module
 
     s0 = normalize_seed(seed)
+    if bound < 3:
+        raise ValueError(f"auxiliary primes are odd, so the bound must be >= 3, got {bound}")
     m = len(s0)
     attempts = 0
 

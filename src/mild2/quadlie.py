@@ -22,6 +22,7 @@ and these identities are what the randomized test suites pin down.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb
 from typing import Union
@@ -287,14 +288,14 @@ def relator_to_poly(relator, ring: str) -> NcPoly:
 # ---------------------------------------------------------------------------
 # Basis-word enumerations.
 
-# Most bracket words one enumeration may build; 10^5 deep ad-chains hold
-# about 160 MiB.
+# Most bracket words one enumeration may return.  10^5 words hold about 115 MiB
+# as enumerate_y's whole ad-chains, 15 MiB as elimination_basis's shared tails.
 MAX_BASIS_WORDS = 10**5
 
 
 def _check_word_budget(what: str, counts) -> None:
     """Raise BoundExceededError once the running sum of counts, the words an
-    enumeration would build, passes MAX_BASIS_WORDS.  counts is read lazily,
+    enumeration would return, passes MAX_BASIS_WORDS.  counts is read lazily,
     so an unbounded request stops at the first term past the limit."""
     total = 0
     for count in counts:
@@ -327,78 +328,74 @@ def enumerate_y(alphabet: WeightedAlphabet, k_max: int) -> dict[int, list[Bracke
       (5) ad(x_{i_1})..ad(x_{i_{k-1}})(xj), i_1 > .. > i_{k-1} <= m < j
                                                                  (degree k - 1 + e_j)
 
-    for k = 3..k_max.  The listing is exhaustive for degrees <= k_max and
-    trimmed above that; per degree the count matches the coefficient of
-    1 - (1+t)**m * (1 - sum_i m_i t**e_i).
+    for k = 3..k_max, keeping only the words of degree <= k_max.  Per degree
+    the count matches the coefficient of 1 - (1+t)**m * (1 - sum_i m_i t**e_i).
     """
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
-    m, d = alphabet.m, alphabet.d
+    m = alphabet.m
     k_top = min(k_max, m + 1)  # every family below is empty for k > m + 1
+
+    def heavy(limit: int) -> range:
+        """The letters m+1..d of weight <= limit: a prefix, as weights are sorted."""
+        return range(m + 1, bisect_right(alphabet.weights, limit) + 1)
+
     _check_word_budget(
         "enumerate_y",
         itertools.chain(  # families (1) and (2), then (3), (4) and (5) for each k
-            (m + comb(m, 2) + (d - m) + m * (d - m),),
+            (m + comb(m, 2) + len(heavy(k_max)) + m * len(heavy(k_max - 1)),),
             (
-                comb(m, k - 2) * (m - k + 2) + comb(m, k) * (k - 1) + comb(m, k - 1) * (d - m)
+                comb(m, k - 2) * (m - k + 2)
+                + comb(m, k) * (k - 1)
+                + comb(m, k - 1) * len(heavy(k_max - k + 1))
                 for k in range(3, k_top + 1)
             ),
         ),
     )
     grouped: dict[int, list[BracketWord]] = {}
 
-    def put(word: BracketWord) -> None:
-        w = bracket_weight(word, alphabet)
-        if w <= k_max:
-            grouped.setdefault(w, []).append(word)
+    def put(degree: int, word: BracketWord) -> None:
+        grouped.setdefault(degree, []).append(word)
 
     for i in range(1, m + 1):
-        put(Square(Leaf(i)))
+        put(2, Square(Leaf(i)))
     for i, j in itertools.combinations(range(1, m + 1), 2):
-        put(Bracket(Leaf(i), Leaf(j)))
-    for j in range(m + 1, d + 1):
-        put(Leaf(j))
+        put(2, Bracket(Leaf(i), Leaf(j)))
+    for j in heavy(k_max):
+        put(alphabet.weight(j), Leaf(j))
     for i in range(1, m + 1):
-        for j in range(m + 1, d + 1):
-            put(Bracket(Leaf(i), Leaf(j)))
+        for j in heavy(k_max - 1):
+            put(alphabet.weight(j) + 1, Bracket(Leaf(i), Leaf(j)))
     for k in range(3, k_top + 1):
         for combo in itertools.combinations(range(1, m + 1), k - 2):
             run = tuple(reversed(combo))  # i_1 > ... > i_{k-2}
             for j in range(1, m + 1):
                 if j not in combo:
                     core = Bracket(Leaf(j), Bracket(Leaf(j), Leaf(run[-1])))
-                    put(_ad_chain(run[:-1], core))
+                    put(k, _ad_chain(run[:-1], core))
         for combo in itertools.combinations(range(1, m + 1), k):
             low = combo[0]
             for i_k in combo[1:]:
                 chain = tuple(sorted(set(combo) - {low, i_k}, reverse=True))
-                put(_ad_chain(chain, Bracket(Leaf(low), Leaf(i_k))))
+                put(k, _ad_chain(chain, Bracket(Leaf(low), Leaf(i_k))))
         for combo in itertools.combinations(range(1, m + 1), k - 1):
             run = tuple(reversed(combo))
-            for j in range(m + 1, d + 1):
-                put(_ad_chain(run, Leaf(j)))
+            for j in heavy(k_max - k + 1):
+                put(k - 1 + alphabet.weight(j), _ad_chain(run, Leaf(j)))
     return {deg: grouped[deg] for deg in sorted(grouped)}
 
 
 def y_count_poly(alphabet: WeightedAlphabet, n_max: int) -> list[int]:
     """Coefficients through t**n_max of 1 - (1+t)**m * (1 - sum_i m_i t**e_i),
-    the generating polynomial counting enumerate_y per degree."""
-    m = alphabet.m
-    binom = [0] * (n_max + 1)
-    for k in range(min(m, n_max) + 1):
-        binom[k] = comb(m, k)
-    inner = [0] * (n_max + 1)
-    inner[0] = 1
-    for w in alphabet.weights:
-        if w <= n_max:
-            inner[w] -= 1
-    prod = [0] * (n_max + 1)
-    for i, bi in enumerate(binom):
-        if bi:
-            for j, cj in enumerate(inner[: n_max + 1 - i]):
-                prod[i + j] += bi * cj
-    out = [-c for c in prod]
-    out[0] += 1
+    that is 1 - sum_k C(m,k) t**k + sum_k sum_i C(m,k) t**(k+e_i), the
+    generating polynomial counting enumerate_y per degree."""
+    out = [1] + [0] * n_max
+    for k in range(min(alphabet.m, n_max) + 1):
+        c = comb(alphabet.m, k)
+        out[k] -= c
+        for e in alphabet.weights:
+            if k + e <= n_max:
+                out[k + e] += c
     return out
 
 
@@ -406,24 +403,25 @@ def elimination_basis(
     alphabet: WeightedAlphabet, sigma: tuple[int, ...] | list[int] | set[int], n_max: int
 ) -> list[BracketWord]:
     """Free-generator words ad(s_1)..ad(s_n)(x), s_i in sigma, x outside sigma,
-    of weight <= n_max, ordered by (n, chain indices, target index)."""
-    sig = tuple(sorted(set(int(i) for i in sigma)))
+    of weight <= n_max, ordered by (n, chain indices, target index).
+
+    Level n + 1 is [x_s, w] for s in sigma ascending and w in level n in
+    order, which keeps that order; each word shares its tail w and leaves.
+    """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    sig = sorted(set(int(i) for i in sigma))
     if any(not 1 <= i <= alphabet.d for i in sig):
-        raise ValueError(f"sigma {sig} is not a subset of the alphabet 1..{alphabet.d}")
+        raise ValueError(f"sigma {tuple(sig)} is not a subset of the alphabet 1..{alphabet.d}")
     rest = [i for i in range(1, alphabet.d + 1) if i not in sig]
     if not rest:
         raise ValueError("sigma must be a proper subset of the alphabet")
+    ads = [(alphabet.weight(s), Leaf(s)) for s in sig]
+    level = [(alphabet.weight(x), Leaf(x)) for x in rest if alphabet.weight(x) <= n_max]
     out: list[BracketWord] = []
-    if not sig:
-        return [Leaf(i) for i in rest if alphabet.weight(i) <= n_max]
-    min_sig = min(alphabet.weight(i) for i in sig)
-    min_rest = min(alphabet.weight(i) for i in rest)
-    lengths = range((n_max - min_rest) // min_sig + 1)
-    _check_word_budget("elimination_basis", (len(sig) ** n * len(rest) for n in lengths))
-    for n in lengths:
-        for chain in itertools.product(sig, repeat=n):
-            base = sum(alphabet.weight(i) for i in chain)
-            for target in rest:
-                if base + alphabet.weight(target) <= n_max:
-                    out.append(_ad_chain(chain, Leaf(target)))
+    while level:
+        out.extend(word for _, word in level)
+        next_size = sum(w + e <= n_max for e, _ in ads for w, _ in level)
+        _check_word_budget("elimination_basis", (len(out), next_size))
+        level = [(w + e, Bracket(ad, word)) for e, ad in ads for w, word in level if w + e <= n_max]
     return out

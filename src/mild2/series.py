@@ -14,9 +14,14 @@ a_n, restricted filtration dimensions) are all derived from its roots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from itertools import accumulate
+from math import comb, log2
 
-from .arith import mobius
+from .arith import BoundExceededError, mobius
+
+# Most bits one series request may hold: its weights and denominator at one
+# 64-bit slot each, and its coefficients; 2**28 bits are 32 MiB.
+MAX_SERIES_BITS = 2**28
 
 
 class NonRealizableError(ArithmeticError):
@@ -117,6 +122,29 @@ def _check_n_max(n_max: int, minimum: int = 0) -> None:
         raise ValueError(f"n_max must be >= {minimum}, got {n_max}")
 
 
+def check_series_size(n_weights: int, top_weight: int, n_max: int) -> None:
+    """Raise BoundExceededError when the series through degree n_max of a
+    signature with n_weights generator and relator weights, the largest being
+    top_weight, would hold more than MAX_SERIES_BITS.
+
+    The denominator has sum |den_k| <= 1 + n_weights, so coefficient n has at
+    most n * log2(1 + sum |den_k|) + 1 bits.  Call this before building the
+    weights: it needs only their count.
+    """
+    _check_n_max(n_max)
+    slots = n_weights + top_weight + n_max + 2
+    bits = 64 * slots + log2(2 + n_weights) * n_max * (n_max + 1) / 2
+    if bits > MAX_SERIES_BITS:
+        raise BoundExceededError(
+            f"a series through degree {n_max} of {n_weights} weights, the largest {top_weight},"
+            f" would hold more than {MAX_SERIES_BITS // 2**23} MiB"
+        )
+
+
+def _check_signature_size(sig: WeightSignature, n_max: int) -> None:
+    check_series_size(len(sig.e) + len(sig.h), max(sig.e + sig.h), n_max)
+
+
 def _mul_trunc(a: list[int], b: list[int], n_max: int) -> list[int]:
     out = [0] * (n_max + 1)
     for i, ai in enumerate(a[: n_max + 1]):
@@ -151,6 +179,7 @@ def expand_rational(numerator, denominator, n_max: int) -> IntSeries:
 
 def strongly_free_series(sig: WeightSignature, n_max: int) -> IntSeries:
     """Series of 1 / (1 - sum t**e_i + sum t**h_j) through degree n_max."""
+    _check_signature_size(sig, n_max)
     return expand_rational([1], sig.denominator(), n_max)
 
 
@@ -160,8 +189,7 @@ def gamma_series(sig: WeightSignature, n_max: int) -> IntSeries:
     Coefficients are the partial sums of strongly_free_series, the graded
     dimensions of the corresponding quotient over F2[pi].
     """
-    den = _mul_trunc(sig.denominator(), [1, -1], n_max + len(sig.denominator()) + 1)
-    return expand_rational([1], den, n_max)
+    return IntSeries(tuple(accumulate(strongly_free_series(sig, n_max).coeffs)))
 
 
 def power_sums(sig: WeightSignature, length: int) -> tuple[int, ...]:
@@ -173,6 +201,7 @@ def power_sums(sig: WeightSignature, length: int) -> tuple[int, ...]:
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
+    _check_signature_size(sig, length)
     den = sig.denominator()
     c = lambda i: den[i] if i < len(den) else 0
     p: list[int] = []
@@ -225,42 +254,34 @@ def lower_central_dims(sig: WeightSignature, n_max: int) -> DimensionSequence:
     return DimensionSequence("lower_central_a", 1, tuple(values))
 
 
-def _one_plus_tn_pow(n: int, a: int, n_max: int) -> list[int]:
-    """(1 + t**n)**a truncated: binomial coefficients on multiples of n."""
+def _inv_one_minus_tn_pow(n: int, b: int, n_max: int, sign: int = 1) -> list[int]:
+    """(1 - sign * t**n)**(-b) truncated, b >= 0 and sign = +-1: signed
+    multiset coefficients on multiples of n."""
     out = [0] * (n_max + 1)
     for k in range(n_max // n + 1):
-        out[n * k] = comb(a, k)
-    return out
-
-
-def _inv_one_minus_tn_pow(n: int, b: int, n_max: int) -> list[int]:
-    """(1 - t**n)**(-b) truncated, b >= 0: multiset coefficients on multiples of n."""
-    out = [0] * (n_max + 1)
-    for k in range(n_max // n + 1):
-        out[n * k] = comb(b + k - 1, k) if k else 1
+        out[n * k] = sign**k * comb(b + k - 1, k) if k else 1
     return out
 
 
 def zassenhaus_dims(d: int, m: int, n_max: int) -> DimensionSequence:
     """Dimensions a_n extracted from prod_{n>=1} (1 + t**n)**a_n = 1/(1 - d*t + m*t**2).
 
-    The a_n are read off degree by degree: divide the target series by the
-    partial product so far and take the leading new coefficient.  Raises
-    NonRealizableError on a negative a_n.
+    The a_n are read off degree by degree from one running quotient: once
+    it has been divided by (1 + t**k)**a_k for every k < n, its coefficient
+    n is a_n.  Raises NonRealizableError on a negative a_n.
     """
     if d < 1 or m < 0:
         raise ValueError(f"need d >= 1 and m >= 0, got d = {d}, m = {m}")
     _check_n_max(n_max, 1)
-    target = expand_rational([1], [1, -d, m], n_max)
-    partial = [1]
+    check_series_size(d + m, 2, n_max)
+    quotient = list(expand_rational([1], [1, -d, m], n_max).coeffs)
     values = []
     for n in range(1, n_max + 1):
-        quotient = expand_rational(target.coeffs, partial, n_max)
         a_n = quotient[n]
         if a_n < 0:
             raise NonRealizableError(n, a_n, "negative")
         values.append(a_n)
-        partial = _mul_trunc(partial, _one_plus_tn_pow(n, a_n, n_max), n_max)
+        quotient = _mul_trunc(_inv_one_minus_tn_pow(n, a_n, n_max, sign=-1), quotient, n_max)
     return DimensionSequence("zassenhaus_a", 1, tuple(values))
 
 
@@ -271,7 +292,7 @@ def verify_cent_g(sig: WeightSignature, n_max: int) -> bool:
     Propagates NonRealizableError from the b_n computation.
     """
     _check_n_max(n_max, 2)
-    lhs = _one_plus_tn_pow(1, sig.r, n_max)
+    lhs = [comb(sig.r, k) for k in range(n_max + 1)]  # (1 + t)**r
     for n, b_n in reduced_dims_bn(sig, n_max).pairs():
         lhs = _mul_trunc(lhs, _inv_one_minus_tn_pow(n, b_n, n_max), n_max)
     return tuple(lhs) == strongly_free_series(sig, n_max).coeffs

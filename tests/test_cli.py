@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -160,6 +161,48 @@ def test_malformed_presentation_json_exit_2(tmp_path, blob):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["augment", "--seed", "3", "--bound", "-1"],
+        ["basis", "--kind", "elimination", "--weights", "1,1", "--sigma", "1", "--max", "-5"],
+        ["basis", "--kind", "y", "--weights", "1,1", "--max", "-1"],
+        ["series", "--d", "4", "--m", "4", "--max", "-1"],
+    ],
+)
+def test_unusable_flag_values_exit_2(argv):
+    code, err = run_err(argv)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "--d", "4", "--m", "4", "--max", "100000000"],
+        ["dims", "--kind", "zassenhaus", "--d", "4", "--m", "4", "--max", "100000000"],
+        ["dims", "--kind", "lower-central", "--d", "4", "--m", "4", "--max", "100000"],
+        ["series", "--d", "100000000", "--max", "4"],
+        ["series", "--e", "1000000000", "--max", "4"],
+    ],
+)
+def test_series_size_guard_stops_before_allocating(argv):
+    # a child process capped at 1 GiB of address space, so a missing guard fails instead of swapping
+    src = str(Path(mild2.__file__).resolve().parents[1])
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "mild2.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+    )
+    assert time.perf_counter() - started < 1
+    assert proc.returncode == 5
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.rstrip().endswith("would hold more than 32 MiB")
+
+
 def test_series_and_dims_text():
     code, out = run(["series", "--kind", "strongly-free", "--e", "1,1,1,1", "--h", "2,2,2,2", "--max", "6"])
     assert code == 0
@@ -291,6 +334,18 @@ def test_basis_word_limit_stops_before_enumerating():
     assert code == 5 and err == "error: elimination_basis would build more than 100000 bracket words"
     code, err = run_err(["basis", "--kind", "y", "--weights", ",".join(["1"] * 40), "--max", "6"])
     assert code == 5 and err == "error: enumerate_y would build more than 100000 bracket words"
+
+
+def test_basis_word_limit_counts_only_the_words_returned():
+    # heavy letters whose words pass the degree limit are never built, so they do not count
+    weights = ",".join(["1"] * 12 + ["9"] * 20)
+    code, out = run(["basis", "--kind", "y", "--weights", weights, "--max", "8", "--format", "json"])
+    assert code == 0
+    assert sum(len(ws) for ws in json.loads(out)["by_degree"].values()) == 35828
+    code, out = run(
+        ["basis", "--kind", "elimination", "--weights", "1,5,5,5,5,5,5", "--sigma", "1,2,3,4,5,6", "--max", "12"]
+    )
+    assert code == 0 and len(out.splitlines()) == 38
 
 
 def test_basis_word_limit_admits_criterion_7_and_the_readme_example():

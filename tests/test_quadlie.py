@@ -1,5 +1,6 @@
 """Free algebra over F2 / F2[pi]: arithmetic, P operators, bases."""
 
+import itertools
 import random
 
 import pytest
@@ -204,15 +205,24 @@ def test_enumerate_y_frozen_unit_rank2():
     assert sorted(render_bracket(w) for w in grouped[3]) == ["[x1,[x1,x2]]", "[x2,[x2,x1]]"]
 
 
+def sorted_alphabets(max_d, max_weight):
+    for d in range(1, max_d + 1):
+        for weights in itertools.combinations_with_replacement(range(1, max_weight + 1), d):
+            yield WeightedAlphabet(weights)
+
+
 def test_enumerate_y_counts_match_poly():
-    for weights in ((1,), (1, 1), (1, 1, 1), (1, 2), (1, 1, 2), (2, 2)):
-        alphabet = WeightedAlphabet(weights)
-        grouped = enumerate_y(alphabet, 6)
-        poly = y_count_poly(alphabet, 6)
-        counted = [0] * 7
-        for degree, words in grouped.items():
-            counted[degree] = len(words)
-        assert counted == list(poly), weights
+    # 209 alphabets x 7 degree limits = 1463 requests
+    for alphabet in sorted_alphabets(6, 4):
+        for k_max in range(2, 9):
+            grouped = enumerate_y(alphabet, k_max)
+            poly = y_count_poly(alphabet, k_max)
+            counted = [0] * (k_max + 1)
+            for degree, words in grouped.items():
+                counted[degree] = len(words)
+            assert counted == poly, (alphabet.weights, k_max)
+            for degree, words in grouped.items():
+                assert words and all(bracket_weight(w, alphabet) == degree for w in words)
 
 
 def test_enumerate_y_degrees_and_weights_consistent():
@@ -255,10 +265,58 @@ def test_elimination_basis_validates_sigma():
         elimination_basis(alphabet, (1, 2, 3), 3)  # not proper
     with pytest.raises(ValueError):
         elimination_basis(alphabet, (0,), 3)
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        elimination_basis(alphabet, (1,), 0)
     # sigma is a set: duplicates collapse
     assert elimination_basis(alphabet, (1, 1), 3) == elimination_basis(alphabet, {1}, 3)
     # empty sigma: just the leaves
     assert [render_bracket(w) for w in elimination_basis(alphabet, (), 3)] == ["x1", "x2", "x3"]
+
+
+def chain_walk_elimination_basis(alphabet, sigma, n_max):
+    """Reference: every chain over sigma of every length, each word built
+    whole, filtered by weight."""
+    sig = sorted(set(sigma))
+    rest = [i for i in range(1, alphabet.d + 1) if i not in sig]
+    out = []
+    for n in range(n_max):
+        for chain in itertools.product(sig, repeat=n):
+            base = sum(alphabet.weight(i) for i in chain)
+            for target in rest:
+                if base + alphabet.weight(target) <= n_max:
+                    word = Leaf(target)
+                    for idx in reversed(chain):
+                        word = Bracket(Leaf(idx), word)
+                    out.append(word)
+    return out
+
+
+def test_elimination_basis_matches_the_chain_walk():
+    rng = random.Random(2009)
+    for _ in range(40):
+        d = rng.randint(1, 5)
+        alphabet = WeightedAlphabet(sorted(rng.randint(1, 3) for _ in range(d)))
+        n_max = rng.randint(1, 8)
+        for size in range(d):
+            for sigma in itertools.combinations(range(1, d + 1), size):
+                expected = chain_walk_elimination_basis(alphabet, sigma, n_max)
+                assert elimination_basis(alphabet, sigma, n_max) == expected, (alphabet.weights, sigma, n_max)
+
+
+def test_elimination_basis_builds_one_bracket_per_word():
+    alphabet = WeightedAlphabet((1, 1, 2, 2))
+    words = elimination_basis(alphabet, (1, 3), 9)
+    brackets, leaves, stack = set(), set(), list(words)
+    while stack:
+        word = stack.pop()
+        if isinstance(word, Bracket):
+            if id(word) not in brackets:
+                brackets.add(id(word))
+                stack.extend((word.left, word.right))
+        else:
+            leaves.add(id(word))
+    assert len(brackets) == sum(isinstance(w, Bracket) for w in words) > 0
+    assert len(leaves) == alphabet.d
 
 
 def test_ql_bridge_between_square_and_bracket():

@@ -4,11 +4,15 @@ import random
 
 import pytest
 
+from mild2 import series
+from mild2.arith import BoundExceededError
 from mild2.series import (
+    MAX_SERIES_BITS,
     DimensionSequence,
     IntSeries,
     NonRealizableError,
     WeightSignature,
+    check_series_size,
     expand_rational,
     gamma_series,
     lower_central_dims,
@@ -140,8 +144,8 @@ def test_zassenhaus_dims_frozen_and_free_case():
 
 def test_zassenhaus_product_identity():
     # prod (1 + t^n)^(a_n) must reproduce 1/(1 - d t + m t^2)
-    for d, m in ((2, 0), (3, 2), (4, 4), (5, 4)):
-        n_max = 10
+    for d, m in ((2, 0), (3, 2), (4, 4), (5, 4), (3, 1), (5, 2), (2, 1)):
+        n_max = 30
         a = zassenhaus_dims(d, m, n_max).values
         product = [1] + [0] * n_max
         for n, a_n in enumerate(a, start=1):
@@ -155,6 +159,30 @@ def test_zassenhaus_product_identity():
         assert tuple(product) == expected, (d, m)
 
 
+def test_series_size_guard(monkeypatch):
+    check_series_size(8, 2, 1000)  # about 0.2 MiB
+    with pytest.raises(BoundExceededError):
+        check_series_size(8, 2, 100000)
+    with pytest.raises(BoundExceededError):
+        check_series_size(MAX_SERIES_BITS // 64, 1, 0)
+    with pytest.raises(ValueError):
+        check_series_size(8, 2, -1)
+    # every entry point checks; a small limit keeps the unguarded work small
+    monkeypatch.setattr(series, "MAX_SERIES_BITS", 2**16)
+    sig = WeightSignature((1, 1, 1, 1), (2, 2, 2, 2))
+    assert strongly_free_series(sig, 100).n_max == 100
+    for call in (
+        lambda: strongly_free_series(sig, 200),
+        lambda: gamma_series(sig, 200),
+        lambda: reduced_dims_bn(sig, 200),
+        lambda: lower_central_dims(sig, 200),
+        lambda: zassenhaus_dims(4, 4, 200),
+        lambda: strongly_free_series(WeightSignature((2000,)), 4),
+    ):
+        with pytest.raises(BoundExceededError):
+            call()
+
+
 def test_nonrealizable_negative_dimension():
     sig = WeightSignature((1, 1), (2, 2))
     with pytest.raises(NonRealizableError) as info:
@@ -163,9 +191,10 @@ def test_nonrealizable_negative_dimension():
 
 
 def test_nonrealizable_fractional_dimension():
-    with pytest.raises(NonRealizableError) as info:
-        zassenhaus_dims(1, 1, 6)
-    assert info.value.reason in ("negative", "fractional")
+    for d, m in ((1, 1), (2, 3)):
+        with pytest.raises(NonRealizableError) as info:
+            zassenhaus_dims(d, m, 6)
+        assert info.value.n == 3 and info.value.reason in ("negative", "fractional")
 
 
 def test_verify_cent_g_degenerate_and_standard():
