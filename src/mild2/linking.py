@@ -187,10 +187,6 @@ class Presentation:
         if len(set(owners)) != len(owners):
             raise ValueError(f"owner tags must be distinct, got {owners}")
 
-    @property
-    def m(self) -> int:
-        return len(self.relators)
-
     def _label(self, i: int) -> str:
         return f"r{i}" + "'" * len(self.history)
 

@@ -1,28 +1,27 @@
-"""Graded dimensions of relator-ideal quotients, degree by degree on normal words.
+"""Graded dimensions of quadratic relator-ideal quotients, degree by degree on normal words.
 
-For relators rho_1..rho_m in the free algebra A on d letters of weight 1,
-the quotient Q = A / I by the two-sided ideal they generate is the
+For quadratic relators rho_1..rho_m in the free algebra A on d letters of
+weight 1, the quotient Q = A / I by the two-sided ideal they generate is the
 independent check the certificate criteria are compared against: a strongly
 free relator sequence must reproduce
 
-    1 / (1 - sum t^{e_i} + sum t^{h_j})        over F2
-    the same divided by (1 - t)                over F2[pi]
+    1 / (1 - d*t + m*t^2)        over F2
+    the same divided by (1 - t)  over F2[pi]
 
 degree by degree, and any mismatch degree is reported.
 
 The dimensions come from the normal-word recursion.  Every product u * rho * v
-with v nonempty lies in I_{n-1} * A_1, so I_n = I_{n-1} * A_1 + sum A_{n-h} *
-rho, and I_{n-h} * rho already lies in I_{n-1} * A_1.  Hence Q_n is the span
-of the columns (a, q), a letter a after a normal word q of degree n - 1, modulo
-the rows q' * rho for every relator of degree h and every normal word q' of
-degree n - h: m * dim Q_{n-h} rows over d * dim Q_{n-1} columns, where the
-ideal slice itself has about m * n * d^(n-2) rows over d^n.  Column (a, q)
-sits at (a - 1) * dim Q_{n-1} + index(q), so appending a letter to a vector
-over Q_{n-1} is one shift.  Each degree's fully reduced echelon form gives a
-table holding the normal form of every column; its non-pivot columns are the
-normal words of Q_n.  A relator term w_1..w_h then costs one lookup at
-degree n - h + 1 and one more per letter up to degree n - 1, so only the last
-max(h) - 1 tables are held.
+with v nonempty lies in I_{n-1} * A_1, so I_n = I_{n-1} * A_1 + A_{n-2} * rho,
+and I_{n-2} * rho already lies in I_{n-1} * A_1.  Hence Q_n is the span of the
+columns (a, q), a letter a after a normal word q of degree n - 1, modulo the
+rows q' * rho for every relator and every normal word q' of degree n - 2:
+m * dim Q_{n-2} rows over d * dim Q_{n-1} columns, where the ideal slice
+itself has about m * n * d^(n-2) rows over d^n.  Column (a, q) sits at
+(a - 1) * dim Q_{n-1} + index(q), so appending a letter to a vector over
+Q_{n-1} is one shift.  Each degree's fully reduced echelon form gives a table
+holding the normal form of every column; its non-pivot columns are the normal
+words of Q_n.  A relator term x_a * x_b then costs one lookup in the table of
+degree n - 1 and one shift, so only that one table is held.
 
 Only pi-free relators are accepted, so over F2[pi] the quotient is
 F2[pi] (x) Q with Q the F2 quotient: its degree-n slice is the sum of
@@ -87,8 +86,7 @@ class RankProfile:
         return "\n".join(lines)
 
 
-def _check_relators(alphabet, relators, ring) -> list[int]:
-    degrees = []
+def _check_relators(alphabet, relators, ring) -> None:
     for k, rel in enumerate(relators, 1):
         if rel.alphabet != alphabet or rel.ring != ring:
             raise ValueError(f"relator {k} lives in a different algebra")
@@ -97,16 +95,14 @@ def _check_relators(alphabet, relators, ring) -> list[int]:
         if any(pi_exp for pi_exp, _ in rel.terms):
             raise ValueError(f"relator {k} carries pi; the oracle takes pi-free relators only")
         deg = rel.degree()  # raises on inhomogeneous input
-        if deg < 2:
-            raise ValueError(f"relator {k} has degree {deg}; relators must have degree >= 2")
-        degrees.append(deg)
-    return degrees
+        if deg != 2:
+            raise ValueError(f"relator {k} has degree {deg}; the oracle takes quadratic relators only")
 
 
-def _degree_bytes(n_cols: int, held_cols) -> int:
+def _degree_bytes(n_cols: int, prev_cols: int) -> int:
     """Upper bound on what a degree holds while it is reduced: the echelon
     form over its n_cols columns and the normal-form table being built, plus
-    the tables of earlier degrees still held (given by their column counts).
+    the table of the previous degree (over prev_cols columns).
 
     Row t of the echelon form and entry t of a table hold at most t + 1 bits.
     Each echelon row also costs an int header, an int key and a dict slot (at
@@ -120,34 +116,20 @@ def _degree_bytes(n_cols: int, held_cols) -> int:
         return digits + cols * (sys.getsizeof(1) + per_entry)
 
     echelon = triangle(n_cols, sys.getsizeof(1) + 64)
-    return echelon + sum(triangle(cols, 8) for cols in (n_cols, *held_cols))
+    return echelon + triangle(n_cols, 8) + triangle(prev_cols, 8)
 
 
-def _image(table: list[int], vec: int) -> int:
-    """Image of a column vector under a degree's normal-form table."""
-    out = 0
-    while vec:
-        low = vec.bit_length() - 1
-        out ^= table[low]
-        vec ^= 1 << low
-    return out
-
-
-def _relator_rows(words, tables, dims, n: int):
-    """q' * rho in degree n for every relator rho of degree h <= n and every
-    normal word q' of degree n - h, as a row over the columns (a, q)."""
+def _relator_rows(words, table, dims, n: int):
+    """q' * rho in degree n for every relator rho and every normal word q' of
+    degree n - 2, as a row over the columns (a, q); table is degree n - 1's."""
+    if n == 1:
+        return  # no relator fits in degree 1
+    below, width = dims[n - 2], dims[n - 1]
     for terms in words:
-        h = len(terms[0])
-        if h > n:
-            continue
-        first = tables[n - h + 1]
-        for i in range(dims[n - h]):
+        for i in range(below):
             row = 0
-            for word in terms:
-                vec = first[(word[0] - 1) * dims[n - h] + i]
-                for k, letter in enumerate(word[1:-1], n - h + 2):
-                    vec = _image(tables[k], vec << (letter - 1) * dims[k - 1])
-                row ^= vec << (word[-1] - 1) * dims[n - 1]
+            for a, b in terms:
+                row ^= table[(a - 1) * below + i] << (b - 1) * width
             yield row
 
 
@@ -163,32 +145,33 @@ def quotient_dims(
     weight 1 by the two-sided ideal (rho_1..rho_m), for degrees 0..n_max,
     with the rank bookkeeping per degree.
 
-    Relators must be nonzero, pi-free, homogeneous of degree >= 2, and all in
-    that algebra.  Degree n is reduced over the d * dim Q_{n-1} columns
-    (a, q); the rank reported is d^n - dim Q_n.  Over F2[pi] every column of
-    the profile is the running sum of the F2 one.  What a degree holds is
-    bounded before its rows are built, and crossing memory_cap_mib raises
-    MemoryGuardError.
+    Relators must be nonzero, pi-free, homogeneous of degree 2, and all in
+    that algebra; a strongly free sequence of them gives the series
+    1 / (1 - d*t + m*t^2).  Degree n is reduced over the d * dim Q_{n-1}
+    columns (a, q) modulo q' * rho for the normal words q' of degree n - 2,
+    since I_n = I_{n-1} * A_1 + A_{n-2} * rho; only degree n - 1's
+    normal-form table is held.  The rank reported is d^n - dim Q_n.  Over
+    F2[pi] every column of the profile is the running sum of the F2 one.
+    What a degree holds is bounded before its rows are built, and crossing
+    memory_cap_mib raises MemoryGuardError.
     """
     relators = tuple(relators)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    degrees = _check_relators(unit_alphabet(d), relators, ring)
+    _check_relators(unit_alphabet(d), relators, ring)
     words = [[word for _, word in rel.terms] for rel in relators]
-    held = max(degrees, default=2) - 1
     dims = [1]
-    tables: dict[int, list[int]] = {}
+    table: list[int] = []
     for n in range(1, n_max + 1):
         n_cols = d * dims[n - 1]
-        estimate = _degree_bytes(n_cols, [len(table) for table in tables.values()])
+        estimate = _degree_bytes(n_cols, len(table))
         if estimate > memory_cap_mib * 2**20:
             raise MemoryGuardError(
                 f"degree {n} needs about {-(-estimate // 2**20)} MiB of rows,"
                 f" above the {memory_cap_mib} MiB cap"
             )
-        tables[n], dim = gf2.quotient_map(_relator_rows(words, tables, dims, n), n_cols)
+        table, dim = gf2.quotient_map(_relator_rows(words, table, dims, n), n_cols)
         dims.append(dim)
-        tables.pop(n - held, None)
     counts = [d**n for n in range(n_max + 1)]
     ranks = [count - dim for count, dim in zip(counts, dims)]
     if ring == F2PI:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import comb, log2
+from math import comb, isqrt, log2
 
 from .arith import BoundExceededError, mobius
 
@@ -82,13 +82,6 @@ class IntSeries:
         object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
         if not self.coeffs:
             raise ValueError("a series carries at least its constant term")
-
-    @property
-    def n_max(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, n: int) -> int:
-        return self.coeffs[n]
 
     def pairs(self) -> list[tuple[int, int]]:
         return list(enumerate(self.coeffs))
@@ -195,22 +188,16 @@ def gamma_series(sig: WeightSignature, n_max: int) -> IntSeries:
 def power_sums(sig: WeightSignature, length: int) -> tuple[int, ...]:
     """Power sums p_1..p_length of the inverse roots of the signature denominator.
 
-    Newton's identities on 1 + c_1 t + ... + c_s t**s give
-    p_1 = -c_1 and p_l = -l*c_l - sum_{i=1}^{l-1} c_i p_{l-i}; everything
-    stays in Z, no root is ever extracted numerically.
+    Newton's identities on den(t) = 1 + c_1 t + ... + c_s t**s say that
+    sum_l p_l t**l = -t * den'(t) / den(t), so the p_l are the expansion of
+    that rational function; everything stays in Z, no root is ever extracted
+    numerically.
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     _check_signature_size(sig, length)
     den = sig.denominator()
-    c = lambda i: den[i] if i < len(den) else 0
-    p: list[int] = []
-    for ell in range(1, length + 1):
-        total = -ell * c(ell)
-        for i in range(1, ell):
-            total -= c(i) * p[ell - i - 1]
-        p.append(total)
-    return tuple(p)
+    return expand_rational([-k * c for k, c in enumerate(den)], den, length).coeffs[1:]
 
 
 def reduced_dims_bn(sig: WeightSignature, n_max: int) -> DimensionSequence:
@@ -230,9 +217,10 @@ def reduced_dims_bn(sig: WeightSignature, n_max: int) -> DimensionSequence:
     values = []
     for n in range(2, n_max + 1):
         total = 0
-        for ell in range(1, n + 1):
-            if n % ell == 0:
-                total += mobius(n // ell) * (p[ell - 1] + (r if ell % 2 == 0 else -r))
+        for k in range(1, isqrt(n) + 1):
+            if n % k == 0:
+                for ell in {k, n // k}:
+                    total += mobius(n // ell) * (p[ell - 1] + (r if ell % 2 == 0 else -r))
         q, rem = divmod(total, n)
         if rem != 0:
             raise NonRealizableError(n, total / n, "not an integer")

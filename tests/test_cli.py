@@ -370,10 +370,12 @@ def test_basis_word_limit_admits_criterion_7_and_the_readme_example():
 
 
 def test_argparse_rejects_unknown_subcommand():
+    src = str(Path(mild2.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "mild2.cli", "frobnicate"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 2
 
@@ -401,10 +403,12 @@ def test_check_mild_with_oracle_runs_on_the_standard_library_alone():
 
 
 def test_console_entry_point_runs():
+    src = str(Path(mild2.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "mild2.cli", "present", "--primes", EX1],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0
     assert proc.stdout.rstrip("\n") == GOLDEN_EX1_PRESENT

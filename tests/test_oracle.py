@@ -123,7 +123,7 @@ def test_pivot_table_estimate_covers_the_measured_peak():
     finally:
         tracemalloc.stop()
     dims = profile.dims().values
-    estimate = max(_degree_bytes(4 * dims[n - 1], [4 * dims[n - 2]]) for n in range(2, 9))
+    estimate = max(_degree_bytes(4 * dims[n - 1], 4 * dims[n - 2]) for n in range(2, 9))
     assert estimate >= peak
 
 
@@ -159,25 +159,20 @@ def brute_force_profile(d, polys, n_max, ring):
 
 
 def random_relators(rng, d, ring):
-    """Nonzero relators of degree 2 and 3; about one in four restates an
-    earlier one (a copy, a sum of two, or a letter times one), so the ideal
-    is not strongly free."""
+    """Nonzero relators of degree 2; about one in four restates an earlier
+    one (a copy or a sum of two), so the ideal is not strongly free."""
     alphabet = unit_alphabet(d)
+    words = list(itertools.product(range(1, d + 1), repeat=2))
     polys = []
     for _ in range(rng.randint(1, 4)):
         if polys and rng.random() < 0.25:
             rho = rng.choice(polys)
-            same = [p for p in polys if p.degree() == rho.degree() and p != rho]
-            kind = rng.randrange(3)
-            if kind == 1 and same:
-                polys.append(rho + rng.choice(same))
-            elif kind == 2 and rho.degree() == 2:
-                letter = NcPoly(alphabet, ring, {(0, (rng.randint(1, d),))})
-                polys.append(mul(letter, rho) if rng.random() < 0.5 else mul(rho, letter))
+            others = [p for p in polys if p != rho]
+            if others and rng.random() < 0.5:
+                polys.append(rho + rng.choice(others))
             else:
                 polys.append(rho)
             continue
-        words = list(itertools.product(range(1, d + 1), repeat=rng.choice((2, 3))))
         terms = rng.sample(words, rng.randint(1, min(4, len(words))))
         polys.append(NcPoly(alphabet, ring, {(0, w) for w in terms}))
     return polys
@@ -244,7 +239,7 @@ def test_f2pi_profile_matches_pi_span_reference():
 def test_word_numerals_match_span_reference_at_one_and_eleven_letters(ring):
     one = unit_alphabet(1)
     x = NcPoly.generator(one, 1, ring)
-    polys = [mul(x, x), mul(mul(x, x), x)]
+    polys = [mul(x, x), mul(x, x)]
     assert profile_rows(quotient_dims(1, polys, 5, ring)) == pi_span_reference(1, polys, 5, ring)
 
     # two-digit letters: a numeral built by joining digit strings would mis-index x10, x11
@@ -253,7 +248,7 @@ def test_word_numerals_match_span_reference_at_one_and_eleven_letters(ring):
     polys = [
         mul(x[11], x[11]) + mul(x[1], x[11]) + mul(x[11], x[1]),
         mul(x[10], x[11]) + mul(x[2], x[2]),
-        mul(mul(x[11], x[3]), x[10]) + mul(mul(x[1], x[11]), x[11]),
+        mul(x[3], x[10]) + mul(x[11], x[10]) + mul(x[1], x[1]),
     ]
     profile = quotient_dims(11, polys, 3, ring)
     assert profile_rows(profile) == pi_span_reference(11, polys, 3, ring)
@@ -264,6 +259,19 @@ def test_quotient_dims_rejects_pi_bearing_relators():
     x1, x2 = (NcPoly.generator(alphabet, i, F2PI) for i in (1, 2))
     with pytest.raises(ValueError, match="carries pi"):
         quotient_dims(2, [mul(x1, x2) + pi_mul(x1)], 3, ring=F2PI)
+
+
+@pytest.mark.parametrize("degree", [1, 3])
+def test_quotient_dims_refuses_relators_of_degree_other_than_two(degree):
+    alphabet = unit_alphabet(2)
+    x1, x2 = (NcPoly.generator(alphabet, i, F2) for i in (1, 2))
+    rho = x1
+    for _ in range(degree - 1):
+        rho = mul(rho, x2)
+    with pytest.raises(
+        ValueError, match=f"relator 2 has degree {degree}; the oracle takes quadratic relators only"
+    ):
+        quotient_dims(2, [mul(x1, x2), rho], 4)
 
 
 def test_f2pi_memory_guard_sizes_the_f2_matrix():

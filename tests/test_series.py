@@ -1,11 +1,13 @@
 """Power-series engine: rational expansion, dimension formulas, identities."""
 
+import itertools
 import random
+import time
 
 import pytest
 
 from mild2 import series
-from mild2.arith import BoundExceededError
+from mild2.arith import BoundExceededError, mobius
 from mild2.series import (
     MAX_SERIES_BITS,
     DimensionSequence,
@@ -113,6 +115,72 @@ def test_power_sums_match_newton_recurrence_spot():
     assert power_sums(sig, 3) == (2, 6, 11)
 
 
+def newton_power_sums(sig, length):
+    """Reference: Newton's recurrence p_l = -l*c_l - sum_{i=1}^{l-1} c_i p_{l-i},
+    every term spelled out."""
+    den = sig.denominator()
+    c = lambda i: den[i] if i < len(den) else 0
+    p = []
+    for ell in range(1, length + 1):
+        total = -ell * c(ell)
+        for i in range(1, ell):
+            total -= c(i) * p[ell - i - 1]
+        p.append(total)
+    return tuple(p)
+
+
+def full_scan_bn(sig, n_max):
+    """Reference: b_n, n = 2..n_max, testing every l <= n for divisibility;
+    the first nonrealizable n as (n, value, reason) instead."""
+    p = newton_power_sums(sig, n_max)
+    r = sig.r
+    values = []
+    for n in range(2, n_max + 1):
+        total = 0
+        for ell in range(1, n + 1):
+            if n % ell == 0:
+                total += mobius(n // ell) * (p[ell - 1] + (r if ell % 2 == 0 else -r))
+        q, rem = divmod(total, n)
+        if rem != 0:
+            return (n, total / n, "not an integer")
+        if q < 0:
+            return (n, q, "negative")
+        values.append(q)
+    return tuple(values)
+
+
+def test_power_sums_and_bn_match_newton_and_full_scan_references():
+    signatures = [
+        WeightSignature(e, h)
+        for e in itertools.chain.from_iterable(
+            itertools.product((1, 2, 3), repeat=k) for k in (1, 2, 3)
+        )
+        for h in itertools.chain.from_iterable(
+            itertools.product((2, 3, 4), repeat=k) for k in (0, 1, 2)
+        )
+    ]
+    assert len(signatures) == 507
+    nonrealizable = 0
+    for sig in signatures:
+        assert power_sums(sig, 30) == newton_power_sums(sig, 30), sig
+        try:
+            got = reduced_dims_bn(sig, 30).values
+        except NonRealizableError as err:
+            got = (err.n, err.value, err.reason)
+            nonrealizable += 1
+        assert got == full_scan_bn(sig, 30), sig
+    assert 0 < nonrealizable < len(signatures)
+
+
+def test_lower_central_dims_to_degree_8000_runs_in_linear_steps():
+    # the O(N^2) references above need about 14 s for this on a 2-CPU host
+    sig = WeightSignature((1, 1, 1, 1), (2, 2, 2, 2))
+    started = time.perf_counter()
+    a = lower_central_dims(sig, 8000)
+    assert time.perf_counter() - started < 3.0
+    assert len(a.values) == 8000 and a.values[:4] == (4, 6, 10, 16)
+
+
 def test_reduced_dims_bn_frozen():
     sig = WeightSignature((1, 1, 1, 1), (2, 2, 2, 2))
     dims = reduced_dims_bn(sig, 4)
@@ -170,7 +238,7 @@ def test_series_size_guard(monkeypatch):
     # every entry point checks; a small limit keeps the unguarded work small
     monkeypatch.setattr(series, "MAX_SERIES_BITS", 2**16)
     sig = WeightSignature((1, 1, 1, 1), (2, 2, 2, 2))
-    assert strongly_free_series(sig, 100).n_max == 100
+    assert len(strongly_free_series(sig, 100).coeffs) == 101
     for call in (
         lambda: strongly_free_series(sig, 200),
         lambda: gamma_series(sig, 200),
@@ -205,9 +273,7 @@ def test_verify_cent_g_degenerate_and_standard():
 
 def test_int_series_and_dimension_sequence_accessors():
     s = IntSeries((1, 2, 3))
-    assert s.n_max == 2 and s[1] == 2 and list(s.pairs()) == [(0, 1), (1, 2), (2, 3)]
-    with pytest.raises(IndexError):
-        s[3]
+    assert list(s.pairs()) == [(0, 1), (1, 2), (2, 3)]
     dims = DimensionSequence("lower_central", 1, (4, 6))
     assert list(dims.pairs()) == [(1, 4), (2, 6)]
     data = dims.to_json_dict()
