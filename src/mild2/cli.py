@@ -3,9 +3,10 @@
 Subcommands: linking, present, reduce, check-mild, augment, series, dims,
 oracle, basis, selftest.  Exit codes: 0 success (and mild verdicts),
 2 input errors, 3 not_shown, 4 inapplicable, 5 resource-guard stops
-(memory cap, exhausted search bound, basis word limit, series size limit),
-70 an unexpected internal error (one "error: internal:" line); the oracle
-subcommand exits 1 on a dimension mismatch.
+(memory cap, exhausted search bound, partition search limit, basis word
+limit, series size limit), 70 an unexpected internal error (one
+"error: internal:" line); the oracle subcommand exits 1 on a dimension
+mismatch.
 """
 
 from __future__ import annotations
@@ -127,6 +128,10 @@ def _signature_from(args) -> WeightSignature:
     if args.e is not None:
         return WeightSignature(_parse_ints(args.e, "--e"), _parse_ints(args.h or "", "--h"))
     if args.d is not None:
+        if args.d < 1:
+            raise ValueError(f"--d must be >= 1, got {args.d}")
+        if args.m is not None and args.m < 0:
+            raise ValueError(f"--m must be >= 0, got {args.m}")
         check_series_size(args.d + (args.m or 0), 2 if args.m else 1, args.max)
         return WeightSignature((1,) * args.d, (2,) * (args.m or 0))
     raise ValueError("provide --e/--h or --d/--m")

@@ -139,12 +139,11 @@ class QuadraticRelator:
 
     def to_json_dict(self) -> dict:
         """JSON form.  The schema records one square bit, attached to the
-        owner index, so a relator that has squares but no owner does not fit
-        and is rejected rather than silently truncated."""
-        if self.owner is None and any(self.squares):
-            raise ValueError(
-                "a relator with square terms but no owner index has no JSON form"
-            )
+        owner index, so a relator with a square anywhere else (or with squares
+        but no owner) does not fit and is rejected rather than silently
+        truncated."""
+        if any(b for i, b in enumerate(self.squares, 1) if i != self.owner):
+            raise ValueError(f"{self.text()}: the JSON form holds a square only at the owner index")
         return {
             "owner": self.owner,
             "square": self.squares[self.owner - 1] if self.owner else 0,
@@ -445,46 +444,59 @@ class AugmentationResult:
         }
 
 
-def _class1_candidates(s0, chosen: tuple[int, ...], pos: int, bound: int):
-    """Auxiliary primes for slot pos (0-based), ascending, filtered by the
-    augmentation conditions against the seed and the slots already fixed."""
-    m = len(s0)
-    avoid = set(s0) | set(chosen)
+def _primes_in_class(residue: int, avoid, bound: int):
+    """Primes q = residue (mod 4) outside avoid, ascending, up to bound."""
     q = 2
     while True:
         try:
-            q = next_prime_in_class(q + 1, 1, 4, avoid=avoid, bound=bound)
+            q = next_prime_in_class(q + 1, residue, 4, avoid=avoid, bound=bound)
         except BoundExceededError:
             return
-        if pos == 0:
-            if legendre(q, s0[m - 1]) == -1:
-                yield q
-        elif (
-            all(legendre(q, prev) == 1 and legendre(prev, q) == 1 for prev in chosen)
-            and legendre(q, s0[pos]) == -1
-            and legendre(q, s0[pos - 1]) == -1
-        ):
-            yield q
+        yield q
 
 
-def _last_candidates(s0, q_aux: tuple[int, ...], bound: int):
-    avoid = set(s0) | set(q_aux)
-    q = 2
-    while True:
-        try:
-            q = next_prime_in_class(q + 1, 3, 4, avoid=avoid, bound=bound)
-        except BoundExceededError:
+def _candidate_tuples(s0, bound: int):
+    """(q_aux, q_last) pairs for augment, in its order, each slot filtered once."""
+
+    def slots(chosen: tuple[int, ...]):
+        i = len(chosen)
+        avoid = set(s0) | set(chosen)
+        if i == len(s0):
+            for q in _primes_in_class(3, avoid, bound):
+                if legendre(q, chosen[0]) == -1 and all(legendre(q, qp) == 1 for qp in chosen[1:]):
+                    yield chosen, q
             return
-        if legendre(q, q_aux[0]) == -1 and all(legendre(q, qp) == 1 for qp in q_aux[1:]):
-            yield q
+        for q in _primes_in_class(1, avoid, bound):
+            # (b) mod s0[i - 1] (q_m when i = 0) and mod s0[i] (i >= 1); (a) needs
+            # one symbol per pair, both primes being 1 (mod 4): reciprocity.
+            if (
+                legendre(q, s0[i - 1]) == -1
+                and (i == 0 or legendre(q, s0[i]) == -1)
+                and all(legendre(q, prev) == 1 for prev in chosen)
+            ):
+                # Prune.  Eliminating x_last (c_j = a_j; l_(1,last) = 1 by q_last's
+                # condition and reciprocity) leaves relator 1 = sum_j (l_1j + a_j)[x1, xj],
+                # where (a) gives l_1j = a_j = 0 on the auxiliary primes: it is zero,
+                # and every completion inapplicable, iff q'_1 is a nonsquare mod
+                # exactly the seed primes = 3 (mod 4).
+                if i == 0 and all((legendre(q, p) == -1) == (p % 4 == 3) for p in s0):
+                    continue
+                yield from slots(chosen + (q,))
+
+    return slots(())
 
 
 def augment(seed, bound: int = DEFAULT_PRIME_BOUND) -> AugmentationResult:
     """Greedy deterministic search for a mild augmentation of a seed set.
 
-    Candidate tuples (q'_1..q'_m, q_last) are scanned in lexicographic order
-    with the last slot moving fastest; the first tuple whose interleaved
-    prime set gets a mild verdict wins.  attempts counts full tuples tried.
+    Tuples (q'_1..q'_m, q_last) for the normalized seed (q_1..q_m) are
+    scanned lexicographically, last slot fastest, over primes up to bound:
+    q'_i = 1 (mod 4), new, a nonsquare mod q_{i-1} and q_i (q'_1: mod q_m
+    only) and a square mod each earlier q'_j; q_last = 3 (mod 4), a nonsquare
+    mod q'_1 and a square mod q'_2..q'_m.  A q'_1 that is a nonsquare mod
+    exactly the seed primes = 3 (mod 4) is skipped: relator 1 then vanishes
+    after elimination, so all its tuples are inapplicable.  The first tuple
+    whose interleaved set is mild wins; attempts counts the tuples tried.
     Raises BoundExceededError when the space up to the bound is exhausted.
     """
     from .mildness import check_mild  # runtime import: mildness depends on this module
@@ -492,27 +504,13 @@ def augment(seed, bound: int = DEFAULT_PRIME_BOUND) -> AugmentationResult:
     s0 = normalize_seed(seed)
     if bound < 3:
         raise ValueError(f"auxiliary primes are odd, so the bound must be >= 3, got {bound}")
-    m = len(s0)
     attempts = 0
-
-    def tuples(chosen: tuple[int, ...]):
-        if len(chosen) == m:
-            yield chosen
-            return
-        for q in _class1_candidates(s0, chosen, len(chosen), bound):
-            yield from tuples(chosen + (q,))
-
-    for q_aux in tuples(()):
-        for q_last in _last_candidates(s0, q_aux, bound):
-            attempts += 1
-            s = interleave(s0, q_aux, q_last)
-            if check_mild(koch_presentation(s)).verdict == "mild":
-                report = validate_augmentation(s0, q_aux, q_last)
-                if not report.ok:
-                    raise AssertionError(
-                        f"internal error: candidate {s} violates {report.violations}"
-                    )
-                return AugmentationResult(s0, q_aux, q_last, s, attempts)
-    raise BoundExceededError(
-        f"no mild augmentation of seed {s0} with auxiliary primes <= {bound}"
-    )
+    for q_aux, q_last in _candidate_tuples(s0, bound):
+        attempts += 1
+        s = interleave(s0, q_aux, q_last)
+        if check_mild(koch_presentation(s)).verdict == "mild":
+            report = validate_augmentation(s0, q_aux, q_last)
+            if not report.ok:
+                raise AssertionError(f"internal error: candidate {s} violates {report.violations}")
+            return AugmentationResult(s0, q_aux, q_last, s, attempts)
+    raise BoundExceededError(f"no mild augmentation of seed {s0} with auxiliary primes <= {bound}")

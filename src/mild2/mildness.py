@@ -23,6 +23,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import gf2
+from .arith import BoundExceededError
 from .linking import Presentation, QuadraticRelator, eliminate_generator
 from .oracle import DEFAULT_MEMORY_CAP_MIB, strongly_free_oracle
 from .quadlie import F2
@@ -120,7 +121,7 @@ def find_mild_partition(relators) -> Partition | None:
         return Partition((), ())
     d = _check_same_d(relators)
     if d > MAX_ENUMERATION_D:
-        raise ValueError(f"exhaustive partition search is limited to d <= {MAX_ENUMERATION_D}")
+        raise BoundExceededError(f"exhaustive partition search is limited to d <= {MAX_ENUMERATION_D}")
     first = parity_partition(d)
     if rank_criterion(relators, first):
         return first

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from typing import Union
@@ -293,15 +294,11 @@ def relator_to_poly(relator, ring: str) -> NcPoly:
 MAX_BASIS_WORDS = 10**5
 
 
-def _check_word_budget(what: str, counts) -> None:
-    """Raise BoundExceededError once the running sum of counts, the words an
-    enumeration would return, passes MAX_BASIS_WORDS.  counts is read lazily,
-    so an unbounded request stops at the first term past the limit."""
-    total = 0
-    for count in counts:
-        total += count
-        if total > MAX_BASIS_WORDS:
-            raise BoundExceededError(f"{what} would build more than {MAX_BASIS_WORDS} bracket words")
+def _check_word_budget(what: str, total: int) -> None:
+    """Raise BoundExceededError when total, the words an enumeration would
+    return, passes MAX_BASIS_WORDS."""
+    if total > MAX_BASIS_WORDS:
+        raise BoundExceededError(f"{what} would build more than {MAX_BASIS_WORDS} bracket words")
 
 
 def _ad_chain(chain: tuple[int, ...], core: BracketWord) -> BracketWord:
@@ -340,18 +337,8 @@ def enumerate_y(alphabet: WeightedAlphabet, k_max: int) -> dict[int, list[Bracke
         """The letters m+1..d of weight <= limit: a prefix, as weights are sorted."""
         return range(m + 1, bisect_right(alphabet.weights, limit) + 1)
 
-    _check_word_budget(
-        "enumerate_y",
-        itertools.chain(  # families (1) and (2), then (3), (4) and (5) for each k
-            (m + comb(m, 2) + len(heavy(k_max)) + m * len(heavy(k_max - 1)),),
-            (
-                comb(m, k - 2) * (m - k + 2)
-                + comb(m, k) * (k - 1)
-                + comb(m, k - 1) * len(heavy(k_max - k + 1))
-                for k in range(3, k_top + 1)
-            ),
-        ),
-    )
+    # the generating polynomial's terms through k_max sum to the words returned
+    _check_word_budget("enumerate_y", sum(_y_count_terms(alphabet, k_max).values()))
     grouped: dict[int, list[BracketWord]] = {}
 
     def put(degree: int, word: BracketWord) -> None:
@@ -385,18 +372,26 @@ def enumerate_y(alphabet: WeightedAlphabet, k_max: int) -> dict[int, list[Bracke
     return {deg: grouped[deg] for deg in sorted(grouped)}
 
 
-def y_count_poly(alphabet: WeightedAlphabet, n_max: int) -> list[int]:
-    """Coefficients through t**n_max of 1 - (1+t)**m * (1 - sum_i m_i t**e_i),
-    that is 1 - sum_k C(m,k) t**k + sum_k sum_i C(m,k) t**(k+e_i), the
-    generating polynomial counting enumerate_y per degree."""
-    out = [1] + [0] * n_max
+def _y_count_terms(alphabet: WeightedAlphabet, n_max: int) -> Counter:
+    """Coefficients through t**n_max of 1 - (1+t)**m * (1 - sum_e m_e t**e),
+    with m_e letters of weight e, by degree.  Sparse: a heavy letter costs a
+    term per power of (1+t), not a slot for every degree below its weight."""
+    out = Counter({0: 1})
+    multiplicity = Counter(alphabet.weights)  # keys ascending, as the weights are sorted
     for k in range(min(alphabet.m, n_max) + 1):
         c = comb(alphabet.m, k)
         out[k] -= c
-        for e in alphabet.weights:
-            if k + e <= n_max:
-                out[k + e] += c
+        for e, m_e in multiplicity.items():
+            if k + e > n_max:
+                break
+            out[k + e] += c * m_e
     return out
+
+
+def y_count_poly(alphabet: WeightedAlphabet, n_max: int) -> list[int]:
+    """Coefficients through t**n_max of the polynomial counting enumerate_y per degree."""
+    terms = _y_count_terms(alphabet, n_max)
+    return [terms[n] for n in range(n_max + 1)]
 
 
 def elimination_basis(
@@ -422,6 +417,6 @@ def elimination_basis(
     while level:
         out.extend(word for _, word in level)
         next_size = sum(w + e <= n_max for e, _ in ads for w, _ in level)
-        _check_word_budget("elimination_basis", (len(out), next_size))
+        _check_word_budget("elimination_basis", len(out) + next_size)
         level = [(w + e, Bracket(ad, word)) for e, ad in ads for w, word in level if w + e <= n_max]
     return out

@@ -177,6 +177,25 @@ def test_unusable_flag_values_exit_2(argv):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["series", "--d", "4", "--m", "-3"], "error: --m must be >= 0, got -3"),
+        (["series", "--d", "-2", "--max", "3"], "error: --d must be >= 1, got -2"),
+        (["dims", "--kind", "reduced-b", "--d", "4", "--m", "-2"], "error: --m must be >= 0, got -2"),
+    ],
+)
+def test_series_and_dims_refuse_impossible_d_and_m(argv, message):
+    assert run_err(argv) == (2, message)
+
+
+def test_partition_search_limit_exits_5():
+    # 22 primes: d = 21 after elimination, odd, so the search is reached
+    primes = "349,1913,2837,2699,139,743,293,1613,2689,1459,1543,2251,1193,2789,599,229,1597,53,2971,1229,1409,2081"
+    code, err = run_err(["check-mild", "--primes", primes])
+    assert (code, err) == (5, "error: exhaustive partition search is limited to d <= 20")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["series", "--d", "4", "--m", "4", "--max", "100000000"],

@@ -1,14 +1,21 @@
 """Prime linking data, Koch presentations, elimination, augmentation search."""
 
+import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from mild2.arith import BoundExceededError, legendre
+import mild2
+from mild2.arith import BoundExceededError, legendre, next_prime_in_class
 from mild2.linking import (
     NoEliminableGeneratorError,
     Presentation,
     QuadraticRelator,
+    _candidate_tuples,
     augment,
     eliminate_generator,
     interleave,
@@ -292,6 +299,9 @@ def test_presentation_json_rejects_bad_shapes():
         Presentation.from_json_dict({"relators": [{"owner": None, "square": 1, "comms": []}], "a": [1]})
     with pytest.raises(ValueError):
         QuadraticRelator(2, (1, 0), frozenset()).to_json_dict()
+    # the schema holds one square bit, on the owner: x2^2 would be dropped
+    with pytest.raises(ValueError, match="only at the owner"):
+        QuadraticRelator(3, (1, 1, 0), {(1, 2)}, owner=1).to_json_dict()
 
 
 @pytest.mark.parametrize(
@@ -362,3 +372,97 @@ def test_augment_json_shape():
         "S": [5, 13, 41, 3, 23],
         "attempts": 1,
     }
+
+
+# The candidate scan as two separate scanners, one per residue class, with
+# condition (a) checked in both directions: the reference for _candidate_tuples.
+
+
+def reference_class1_candidates(s0, chosen, pos, bound):
+    m = len(s0)
+    avoid = set(s0) | set(chosen)
+    q = 2
+    while True:
+        try:
+            q = next_prime_in_class(q + 1, 1, 4, avoid=avoid, bound=bound)
+        except BoundExceededError:
+            return
+        if pos == 0:
+            if legendre(q, s0[m - 1]) == -1:
+                yield q
+        elif (
+            all(legendre(q, prev) == 1 and legendre(prev, q) == 1 for prev in chosen)
+            and legendre(q, s0[pos]) == -1
+            and legendre(q, s0[pos - 1]) == -1
+        ):
+            yield q
+
+
+def reference_last_candidates(s0, q_aux, bound):
+    avoid = set(s0) | set(q_aux)
+    q = 2
+    while True:
+        try:
+            q = next_prime_in_class(q + 1, 3, 4, avoid=avoid, bound=bound)
+        except BoundExceededError:
+            return
+        if legendre(q, q_aux[0]) == -1 and all(legendre(q, qp) == 1 for qp in q_aux[1:]):
+            yield q
+
+
+def never_mild_first_slot(s0, q):
+    """q'_1 = q is a nonsquare mod exactly the seed primes = 3 (mod 4)."""
+    return all((legendre(q, p) == -1) == (p % 4 == 3) for p in s0)
+
+
+def reference_tuples(s0, bound, prune):
+    def tuples(chosen):
+        if len(chosen) == len(s0):
+            yield chosen
+            return
+        for q in reference_class1_candidates(s0, chosen, len(chosen), bound):
+            if not (prune and not chosen and never_mild_first_slot(s0, q)):
+                yield from tuples(chosen + (q,))
+
+    for q_aux in tuples(()):
+        for q_last in reference_last_candidates(s0, q_aux, bound):
+            yield q_aux, q_last
+
+
+@pytest.mark.parametrize("bound", [300, 3000])
+@pytest.mark.parametrize("seed", [(13, 3), (41,), (859,), (239, 19, 113), (101, 227, 43), (7, 11, 53, 157)])
+def test_candidate_tuples_match_the_two_scanners(seed, bound):
+    # at bound 300 the first 200 tuples run through several q'_1, pruned ones among them
+    s0 = normalize_seed(seed)
+    expected = list(itertools.islice(reference_tuples(s0, bound, prune=True), 200))
+    assert expected
+    assert list(itertools.islice(_candidate_tuples(s0, bound), 200)) == expected
+
+
+def test_pruned_first_slot_tuples_are_inapplicable():
+    from mild2.mildness import check_mild
+
+    s0 = normalize_seed((13, 3))
+    dropped = [
+        (q_aux, q_last)
+        for q_aux, q_last in itertools.islice(reference_tuples(s0, 300, prune=False), 200)
+        if never_mild_first_slot(s0, q_aux[0])
+    ]
+    assert len(dropped) == 147
+    for q_aux, q_last in dropped:
+        report = check_mild(koch_presentation(interleave(s0, q_aux, q_last)))
+        assert report.verdict == "inapplicable", (q_aux, q_last, report.notes)
+
+
+def test_augment_skips_the_first_slot_that_stalled_the_search():
+    # without the prune this seed scans 44612 inapplicable tuples before the first mild one
+    src = str(Path(mild2.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "mild2.cli", "augment", "--seed", "7,11,53,157", "--format", "text"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["S = (29, 53, 5, 157, 181, 7, 241, 11, 79)", "attempts = 1"]

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from mild2 import gf2, mildness
+from mild2.arith import BoundExceededError
 from mild2.linking import Presentation, QuadraticRelator, koch_presentation
 from mild2.mildness import (
     MAX_ENUMERATION_D,
@@ -175,7 +176,7 @@ def test_find_mild_partition_none_and_empty():
 
 def test_find_mild_partition_guard():
     rels = cycle_relators(MAX_ENUMERATION_D + 2)
-    with pytest.raises(ValueError, match="limited to d"):
+    with pytest.raises(BoundExceededError, match="limited to d <= 20"):
         find_mild_partition(rels)
 
 

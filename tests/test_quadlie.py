@@ -2,6 +2,8 @@
 
 import itertools
 import random
+from bisect import bisect_right
+from math import comb
 
 import pytest
 
@@ -14,6 +16,7 @@ from mild2.quadlie import (
     NcPoly,
     Square,
     WeightedAlphabet,
+    _y_count_terms,
     bracket,
     bracket_weight,
     elimination_basis,
@@ -223,6 +226,30 @@ def test_enumerate_y_counts_match_poly():
             assert counted == poly, (alphabet.weights, k_max)
             for degree, words in grouped.items():
                 assert words and all(bracket_weight(w, alphabet) == degree for w in words)
+
+
+def family_count(alphabet, k_max):
+    """enumerate_y's word count summed family by family, the reference for the
+    word budget's reading of the generating polynomial."""
+    m = alphabet.m
+
+    def heavy(limit):
+        return len(range(m + 1, bisect_right(alphabet.weights, limit) + 1))
+
+    total = m + comb(m, 2) + heavy(k_max) + m * heavy(k_max - 1)  # families (1) and (2)
+    for k in range(3, min(k_max, m + 1) + 1):  # families (3), (4) and (5)
+        total += comb(m, k - 2) * (m - k + 2) + comb(m, k) * (k - 1) + comb(m, k - 1) * heavy(k_max - k + 1)
+    return total
+
+
+def test_word_budget_polynomial_matches_family_count():
+    # 791 alphabets x 13 degree limits = 10283 requests, up to k_max = 10^9
+    for alphabet in sorted_alphabets(7, 5):
+        for k_max in (*range(2, 14), 10**9):
+            assert sum(_y_count_terms(alphabet, k_max).values()) == family_count(alphabet, k_max), (
+                alphabet.weights,
+                k_max,
+            )
 
 
 def test_enumerate_y_degrees_and_weights_consistent():
