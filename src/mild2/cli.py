@@ -71,11 +71,12 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _load_presentation(args) -> Presentation:
-    given_in = getattr(args, "infile", None)
-    if given_in:
-        with open(given_in, "r", encoding="utf-8") as handle:
+    if args.infile is not None and args.primes is not None:
+        raise ValueError("give --primes or --in FILE, not both")
+    if args.infile:
+        with open(args.infile, "r", encoding="utf-8") as handle:
             return Presentation.from_json_dict(json.load(handle))
-    if not getattr(args, "primes", None):
+    if not args.primes:
         raise ValueError("provide --primes or --in FILE")
     return koch_presentation(_parse_ints(args.primes, "--primes"))
 
@@ -125,6 +126,8 @@ def _cmd_augment(args) -> int:
 
 
 def _signature_from(args) -> WeightSignature:
+    if (args.e is not None or args.h is not None) and (args.d is not None or args.m is not None):
+        raise ValueError("give --e/--h or --d/--m, not both")
     if args.e is not None:
         return WeightSignature(_parse_ints(args.e, "--e"), _parse_ints(args.h or "", "--h"))
     if args.d is not None:
@@ -135,14 +138,6 @@ def _signature_from(args) -> WeightSignature:
         check_series_size(args.d + (args.m or 0), 2 if args.m else 1, args.max)
         return WeightSignature((1,) * args.d, (2,) * (args.m or 0))
     raise ValueError("provide --e/--h or --d/--m")
-
-
-def _dims_payload(seq, extra: dict | None = None) -> tuple[dict, str]:
-    payload = seq.to_json_dict()
-    if extra:
-        payload.update(extra)
-    text = "\n".join(f"{n}: {v}" for n, v in seq.pairs())
-    return payload, text
 
 
 def _cmd_series(args) -> int:
@@ -160,20 +155,21 @@ def _cmd_dims(args) -> int:
         if args.kind == "zassenhaus":
             if args.d is None:
                 raise ValueError("--kind zassenhaus needs --d (and optionally --m)")
+            if args.e is not None or args.h is not None:
+                raise ValueError("--kind zassenhaus takes --d/--m, not --e/--h")
             seq = zassenhaus_dims(args.d, args.m or 0, args.max)
-            payload, text = _dims_payload(seq, {"d": args.d, "m": args.m or 0})
+            extra = {"d": args.d, "m": args.m or 0}
         else:
             sig = _signature_from(args)
+            extra = {"e": list(sig.e), "h": list(sig.h)}
             if args.kind == "reduced-b":
                 seq = reduced_dims_bn(sig, args.max)
-                payload, text = _dims_payload(seq, {"e": list(sig.e), "h": list(sig.h)})
             else:
                 seq = lower_central_dims(sig, args.max)
-                note = (
+                extra["note"] = (
                     "a(1) counts weight-1 generators; a(n) for n >= 2 is the partial sum"
                     " b(2) + ... + b(n) of the reduced dimensions"
                 )
-                payload, text = _dims_payload(seq, {"e": list(sig.e), "h": list(sig.h), "note": note})
     except NonRealizableError as exc:
         diag = {
             "kind": args.kind,
@@ -182,7 +178,7 @@ def _cmd_dims(args) -> int:
         }
         _emit(args, diag, f"not realizable by a strongly free sequence: {exc}")
         return 0
-    _emit(args, payload, text)
+    _emit(args, {**seq.to_json_dict(), **extra}, "\n".join(f"{n}: {v}" for n, v in seq.pairs()))
     return 0
 
 

@@ -363,6 +363,14 @@ def normalize_seed(seed) -> tuple[int, ...]:
     return tuple(class1 + class3)
 
 
+def _relator_one_vanishes(s0, q1: int) -> bool:
+    """Eliminating x_last (c_j = a_j; l_(1,last) = 1 by q_last's condition and
+    reciprocity) leaves relator 1 = sum_j (l_1j + a_j)[x1, xj], where (a) gives
+    l_1j = a_j = 0 on the auxiliary primes: it is zero, and every completion
+    inapplicable, iff q'_1 = q1 is a nonsquare mod exactly the seed primes = 3 (mod 4)."""
+    return all((legendre(q1, p) == -1) == (p % 4 == 3) for p in s0)
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
@@ -378,7 +386,8 @@ def validate_augmentation(s0, q_aux, q_last: int) -> ValidationReport:
       (a) legendre(q'_i, q'_j) = +1 for all i != j;
       (b) q'_1 nonsquare mod q_m; q'_i nonsquare mod q_i and mod q_{i-1}
           for i >= 2;
-      q_last = 3 (mod 4), nonsquare mod q'_1, square mod q'_i for i >= 2.
+      q_last = 3 (mod 4), nonsquare mod q'_1, square mod q'_i for i >= 2;
+      q'_1 not a nonsquare mod exactly the seed primes = 3 (mod 4) (never mild).
     """
     s0 = tuple(int(p) for p in s0)
     q_aux = tuple(int(q) for q in q_aux)
@@ -414,6 +423,8 @@ def validate_augmentation(s0, q_aux, q_last: int) -> ValidationReport:
     for i in range(1, m):
         if legendre(q_last, q_aux[i]) != 1:
             bad.append(f"q_last = {q_last} is a nonsquare mod q'_{i + 1} = {q_aux[i]}")
+    if _relator_one_vanishes(s0, q_aux[0]):
+        bad.append(f"q'_1 = {q_aux[0]} is a nonsquare mod exactly the seed primes = 3 (mod 4) (never mild)")
     return ValidationReport(not bad, tuple(bad))
 
 
@@ -473,14 +484,8 @@ def _candidate_tuples(s0, bound: int):
                 legendre(q, s0[i - 1]) == -1
                 and (i == 0 or legendre(q, s0[i]) == -1)
                 and all(legendre(q, prev) == 1 for prev in chosen)
+                and not (i == 0 and _relator_one_vanishes(s0, q))  # the prune
             ):
-                # Prune.  Eliminating x_last (c_j = a_j; l_(1,last) = 1 by q_last's
-                # condition and reciprocity) leaves relator 1 = sum_j (l_1j + a_j)[x1, xj],
-                # where (a) gives l_1j = a_j = 0 on the auxiliary primes: it is zero,
-                # and every completion inapplicable, iff q'_1 is a nonsquare mod
-                # exactly the seed primes = 3 (mod 4).
-                if i == 0 and all((legendre(q, p) == -1) == (p % 4 == 3) for p in s0):
-                    continue
                 yield from slots(chosen + (q,))
 
     return slots(())

@@ -33,18 +33,10 @@ MAX_ENUMERATION_D = 20
 
 @dataclass(frozen=True)
 class Partition:
-    """A two-block partition of the generators 1..d."""
+    """Two ascending blocks of the generators 1..d, stored as given; rank_criterion checks them."""
 
     S: tuple[int, ...]
     Sp: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "S", tuple(sorted(int(i) for i in self.S)))
-        object.__setattr__(self, "Sp", tuple(sorted(int(i) for i in self.Sp)))
-        if len(set(self.S)) != len(self.S) or len(set(self.Sp)) != len(self.Sp):
-            raise ValueError(f"blocks contain repeats: {self.S} and {self.Sp}")
-        if set(self.S) & set(self.Sp):
-            raise ValueError(f"blocks overlap: {self.S} and {self.Sp}")
 
     def to_json_dict(self) -> dict:
         return {"S": list(self.S), "Sp": list(self.Sp)}
@@ -62,13 +54,15 @@ def _check_same_d(relators) -> int:
 
 
 def rank_criterion(relators, part: Partition) -> bool:
-    """Rank test for one partition; True certifies strong freeness (mildness)."""
+    """Rank test for one partition; True certifies strong freeness (mildness).
+    This is the partition's validity check: ValueError unless its blocks hold
+    each of 1..d exactly once.  With no relators there is no d: True."""
     relators = tuple(relators)
     if not relators:
         return True
     d = _check_same_d(relators)
-    if set(part.S) | set(part.Sp) != set(range(1, d + 1)):
-        raise ValueError(f"partition {part} does not cover 1..{d}")
+    if sorted(part.S + part.Sp) != list(range(1, d + 1)):
+        raise ValueError(f"partition {part} is not a partition of 1..{d}")
     s_set = set(part.S)
     rows = []
     for rel in relators:
@@ -128,7 +122,8 @@ def find_mild_partition(relators) -> Partition | None:
     everything = range(1, d + 1)
     for size in range(d + 1):
         for sp in itertools.combinations(everything, size):
-            part = Partition(tuple(i for i in everything if i not in sp), sp)
+            in_sp = set(sp)
+            part = Partition(tuple(i for i in everything if i not in in_sp), sp)
             if rank_criterion(relators, part):
                 return part
     return None

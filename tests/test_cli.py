@@ -188,6 +188,28 @@ def test_series_and_dims_refuse_impossible_d_and_m(argv, message):
     assert run_err(argv) == (2, message)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["series", "--d", "4", "--h", "2,2"], "give --e/--h or --d/--m, not both"),
+        (["series", "--e", "1,1", "--d", "4"], "give --e/--h or --d/--m, not both"),
+        (["series", "--e", "1,1", "--m", "3"], "give --e/--h or --d/--m, not both"),
+        (["dims", "--kind", "lower-central", "--e", "1,1", "--d", "2"], "give --e/--h or --d/--m, not both"),
+        (["dims", "--kind", "zassenhaus", "--d", "4", "--e", "1,1"], "--kind zassenhaus takes --d/--m, not --e/--h"),
+        (["dims", "--kind", "zassenhaus", "--d", "4", "--h", "2"], "--kind zassenhaus takes --d/--m, not --e/--h"),
+        (["reduce", "--primes", EX1, "--in", "pres.json"], "give --primes or --in FILE, not both"),
+        (["check-mild", "--primes", EX1, "--in", "pres.json"], "give --primes or --in FILE, not both"),
+        (["oracle", "--primes", EX1, "--in", "pres.json"], "give --primes or --in FILE, not both"),
+    ],
+)
+def test_flags_of_both_forms_exit_2(tmp_path, argv, message):
+    # a readable --in file, so only the clash itself can be refused
+    path = tmp_path / "pres.json"
+    path.write_text(run(["present", "--primes", EX2, "--format", "json"])[1])
+    argv = [str(path) if arg == "pres.json" else arg for arg in argv]
+    assert run_err(argv) == (2, f"error: {message}")
+
+
 def test_partition_search_limit_exits_5():
     # 22 primes: d = 21 after elimination, odd, so the search is reached
     primes = "349,1913,2837,2699,139,743,293,1613,2689,1459,1543,2251,1193,2789,599,229,1597,53,2971,1229,1409,2081"

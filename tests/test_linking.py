@@ -333,11 +333,24 @@ def test_interleave_layout():
 
 
 def test_validate_augmentation_reference_triples():
+    # criterion 8's three calls
     assert validate_augmentation((13, 3), (41, 5), 19).ok
-    bad_swap = validate_augmentation((13, 3), (5, 41), 19)
-    assert not bad_swap.ok and bad_swap.violations
-    bad_last = validate_augmentation((13, 3), (41, 5), 7)
-    assert not bad_last.ok
+    assert validate_augmentation((13, 3), (5, 41), 19).violations == (
+        "q_last = 19 is a square mod q'_1 = 5",
+        "q_last = 19 is a nonsquare mod q'_2 = 41",
+    )
+    assert validate_augmentation((13, 3), (41, 5), 7).violations == ("q_last = 7 is a nonsquare mod q'_2 = 5",)
+    # condition (b) for q'_2, mod q_1 and mod q_2, and q_last's residue class
+    assert validate_augmentation((13, 3), (41, 17), 19).violations == (
+        "legendre(41, 17) != +1 (condition (a), i = 1, j = 2)",
+        "legendre(17, 41) != +1 (condition (a), i = 2, j = 1)",
+        "q'_2 = 17 is a square mod q_1 = 13 (condition (b))",
+    )
+    assert "q'_2 = 37 is a square mod q_2 = 3 (condition (b))" in validate_augmentation((13, 3), (41, 37), 19).violations
+    assert validate_augmentation((13, 3), (41, 5), 17).violations == (
+        "q_last = 17 is not 3 (mod 4)",
+        "q_last = 17 is a nonsquare mod q'_2 = 5",
+    )
     # wrong residue class is caught too
     assert not validate_augmentation((13, 3), (7, 5), 19).ok
 
@@ -452,6 +465,9 @@ def test_pruned_first_slot_tuples_are_inapplicable():
     for q_aux, q_last in dropped:
         report = check_mild(koch_presentation(interleave(s0, q_aux, q_last)))
         assert report.verdict == "inapplicable", (q_aux, q_last, report.notes)
+        assert validate_augmentation(s0, q_aux, q_last).violations == (
+            f"q'_1 = {q_aux[0]} is a nonsquare mod exactly the seed primes = 3 (mod 4) (never mild)",
+        )
 
 
 def test_augment_skips_the_first_slot_that_stalled_the_search():

@@ -41,13 +41,19 @@ def cycle_relators(d, a=None):
 
 
 def test_partition_validation():
-    part = Partition((3, 1), (2, 4))
-    assert part.S == (1, 3) and part.Sp == (2, 4)
-    assert part.to_json_dict() == {"S": [1, 3], "Sp": [2, 4]}
-    with pytest.raises(ValueError):
-        Partition((1, 2), (2, 3))
-    with pytest.raises(ValueError):
-        Partition((1, 1), (2,))
+    assert Partition((1, 3), (2, 4)).to_json_dict() == {"S": [1, 3], "Sp": [2, 4]}
+    # validity is checked where a partition is ranked: an overlap and a repeat
+    # that each still cover 1..d, a gap, and a letter out of range
+    cases = [
+        (3, Partition((1, 2), (2, 3))),
+        (2, Partition((1, 1), (2,))),
+        (4, Partition((1, 3), (2,))),
+        (2, Partition((1,), (2, 3))),
+    ]
+    for d, part in cases:
+        rel = QuadraticRelator(d, (0,) * d, {(1, 2)})
+        with pytest.raises(ValueError, match=f"is not a partition of 1..{d}"):
+            rank_criterion((rel,), part)
 
 
 def test_parity_partition():
@@ -109,6 +115,17 @@ def test_rank_criterion_empty_cases():
     assert rank_criterion((), Partition((1,), (2,)))
     with pytest.raises(ValueError):
         rank_criterion(reduced_relators(EX1), Partition((1,), (2,)))  # does not cover 1..4
+
+
+def test_check_mild_oracle_notes_when_skipped_and_on_a_mismatch():
+    skipped = check_mild(koch_presentation((3, 5)), oracle_depth=3)
+    assert (skipped.verdict, skipped.oracle_depth) == ("inapplicable", None)
+    assert skipped.notes[-1] == "oracle skipped: no usable quadratic relators"
+    # the negative control {x1^2, [x1, x2]}: no partition, and the oracle refutes at degree 3
+    control = (QuadraticRelator(2, (1, 0), frozenset()), QuadraticRelator(2, (0, 0), {(1, 2)}))
+    refuted = check_mild(Presentation(2, control), oracle_depth=4)
+    assert (refuted.verdict, refuted.oracle_depth) == ("not_shown", 4)
+    assert refuted.notes[-1] == "oracle(F2): dimension mismatch at degree 3"
 
 
 def test_circuit_criterion_on_examples():
