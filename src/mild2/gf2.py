@@ -4,12 +4,13 @@ A row is a Python int whose bit c is column c, so adding two rows is one
 XOR however wide they are.  Rank is plain Gaussian elimination against a
 table of pivot rows keyed by their highest set bit: every incoming row is
 reduced until it is zero or its top bit starts a new pivot.  Rows are
-consumed one at a time, so only the pivot table stays in memory.  Back
-substitution turns that table into the fully reduced echelon form, from
-which quotient_map reads the normal form of every column modulo the row
-span.  One engine serves every caller in the package, from the 4x4 toy
-matrices of the partition search up to the oracle's quotient slices with
-tens of thousands of columns.
+consumed one at a time, so only the pivot table stays in memory; echelon
+returns that table, and a caller that needs only a rank or a dimension stops
+there (the oracle ranks its last degree this way).  Back substitution turns
+the table into the fully reduced echelon form, from which quotient_map reads
+the normal form of every column modulo the row span.  One engine serves
+every caller in the package, from the 4x4 toy matrices of the partition
+search up to the oracle's quotient slices with tens of thousands of columns.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ def pack_rows(rows: Iterable[Iterable[int]], n_cols: int) -> Iterator[int]:
         yield row
 
 
-def _pivots(rows: Iterable[int]) -> dict[int, int]:
-    """Echelon form of int rows: {top bit: row}, one row per pivot column."""
+def echelon(rows: Iterable[int]) -> dict[int, int]:
+    """Forward elimination of int rows: the echelon form {top bit: row}, one
+    row per pivot column, so its length is the rank."""
     pivots: dict[int, int] = {}
     for row in rows:
         while row:
@@ -50,7 +52,7 @@ def _pivots(rows: Iterable[int]) -> dict[int, int]:
 
 def rank(rows: Iterable[int]) -> int:
     """GF(2) rank of int rows, as produced by pack_rows."""
-    return len(_pivots(rows))
+    return len(echelon(rows))
 
 
 def rank_of_rows(rows: Iterable[Iterable[int]], n_cols: int) -> int:
@@ -67,7 +69,7 @@ def quotient_map(rows: Iterable[int], n_cols: int) -> tuple[list[int], int]:
     non-pivot column maps to one bit and a pivot column to the non-pivot
     bits of its row.  Image c has at most c + 1 bits.
     """
-    pivots = _pivots(rows)
+    pivots = echelon(rows)
     mask = 0
     for top in sorted(pivots):
         # Back substitution in ascending order: every lower pivot row already

@@ -72,12 +72,11 @@ def linking_data(primes) -> LinkingData:
     """Compute square classes and the linking matrix (diagonal fixed to 0)."""
     ps = ordered_prime_set(primes)
     a = tuple(1 if p % 4 == 3 else 0 for p in ps)
+    # Euler's criterion on primes validated once above: they are distinct, so
+    # q never divides p, and p is a nonsquare mod q iff p^((q-1)/2) = -1.
     ell = tuple(
-        tuple(
-            0 if i == j else (1 if legendre(ps[i], ps[j]) == -1 else 0)
-            for j in range(len(ps))
-        )
-        for i in range(len(ps))
+        tuple(0 if i == j else int(pow(p, (q - 1) // 2, q) == q - 1) for j, q in enumerate(ps))
+        for i, p in enumerate(ps)
     )
     return LinkingData(ps, a, ell)
 

@@ -21,7 +21,15 @@ itself has about m * n * d^(n-2) rows over d^n.  Column (a, q) sits at
 Q_{n-1} is one shift.  Each degree's fully reduced echelon form gives a table
 holding the normal form of every column; its non-pivot columns are the normal
 words of Q_n.  A relator term x_a * x_b then costs one lookup in the table of
-degree n - 1 and one shift, so only that one table is held.
+degree n - 1 and one shift, so only that one table is held.  No degree reads
+the table of the last one, so the last degree is ranked, not mapped: forward
+elimination alone gives its dimension.
+
+The recursion also bounds each dimension from below: the rows of degree n
+are m * dim Q_{n-2}, so dim Q_n >= d * dim Q_{n-1} - m * dim Q_{n-2}, and
+therefore (Anick, J. Algebra 78, 1982) dim Q_n is at least the coefficient
+of t^n in 1 / (1 - d*t + m*t^2) up to the first nonpositive one.  A
+dimension below that bound is a fault of the oracle and raises RuntimeError.
 
 Only pi-free relators are accepted, so over F2[pi] the quotient is
 F2[pi] (x) Q with Q the F2 quotient: its degree-n slice is the sum of
@@ -99,10 +107,11 @@ def _check_relators(alphabet, relators, ring) -> None:
             raise ValueError(f"relator {k} has degree {deg}; the oracle takes quadratic relators only")
 
 
-def _degree_bytes(n_cols: int, prev_cols: int) -> int:
+def _degree_bytes(n_cols: int, prev_cols: int, last: bool) -> int:
     """Upper bound on what a degree holds while it is reduced: the echelon
-    form over its n_cols columns and the normal-form table being built, plus
-    the table of the previous degree (over prev_cols columns).
+    form over its n_cols columns and the table of the previous degree (over
+    prev_cols columns), plus the normal-form table being built unless the
+    degree is the last, which is only ranked.
 
     Row t of the echelon form and entry t of a table hold at most t + 1 bits.
     Each echelon row also costs an int header, an int key and a dict slot (at
@@ -116,7 +125,7 @@ def _degree_bytes(n_cols: int, prev_cols: int) -> int:
         return digits + cols * (sys.getsizeof(1) + per_entry)
 
     echelon = triangle(n_cols, sys.getsizeof(1) + 64)
-    return echelon + triangle(n_cols, 8) + triangle(prev_cols, 8)
+    return echelon + triangle(prev_cols, 8) + (0 if last else triangle(n_cols, 8))
 
 
 def _relator_rows(words, table, dims, n: int):
@@ -150,27 +159,43 @@ def quotient_dims(
     1 / (1 - d*t + m*t^2).  Degree n is reduced over the d * dim Q_{n-1}
     columns (a, q) modulo q' * rho for the normal words q' of degree n - 2,
     since I_n = I_{n-1} * A_1 + A_{n-2} * rho; only degree n - 1's
-    normal-form table is held.  The rank reported is d^n - dim Q_n.  Over
-    F2[pi] every column of the profile is the running sum of the F2 one.
-    What a degree holds is bounded before its rows are built, and crossing
-    memory_cap_mib raises MemoryGuardError.
+    normal-form table is held, and degree n_max is ranked, not mapped.  The
+    rank reported is d^n - dim Q_n.  Over F2[pi] every column of the profile
+    is the running sum of the F2 one.  What a degree holds is bounded before
+    its rows are built, and crossing memory_cap_mib raises MemoryGuardError.
+    An F2 dimension below Anick's lower bound for d letters and m relators
+    is an oracle fault and raises RuntimeError.
     """
     relators = tuple(relators)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     _check_relators(unit_alphabet(d), relators, ring)
     words = [[word for _, word in rel.terms] for rel in relators]
+    m = len(relators)
     dims = [1]
     table: list[int] = []
+    # coefficients of t^(n-1) and t^n in 1 / (1 - d*t + m*t^2), while positive
+    floor_prev, floor = 1, d
     for n in range(1, n_max + 1):
-        n_cols = d * dims[n - 1]
-        estimate = _degree_bytes(n_cols, len(table))
+        n_cols, last = d * dims[n - 1], n == n_max
+        estimate = _degree_bytes(n_cols, len(table), last)
         if estimate > memory_cap_mib * 2**20:
             raise MemoryGuardError(
                 f"degree {n} needs about {-(-estimate // 2**20)} MiB of rows,"
                 f" above the {memory_cap_mib} MiB cap"
             )
-        table, dim = gf2.quotient_map(_relator_rows(words, table, dims, n), n_cols)
+        rows = _relator_rows(words, table, dims, n)
+        if last:
+            dim = n_cols - len(gf2.echelon(rows))
+        else:
+            table, dim = gf2.quotient_map(rows, n_cols)
+        if dim < floor:
+            raise RuntimeError(
+                f"oracle fault: degree {n} has dimension {dim}, below {floor},"
+                f" Anick's lower bound for {d} letters and {m} quadratic relators"
+            )
+        if floor > 0:
+            floor_prev, floor = floor, d * floor - m * floor_prev
         dims.append(dim)
     counts = [d**n for n in range(n_max + 1)]
     ranks = [count - dim for count, dim in zip(counts, dims)]

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import mild2
-from mild2 import cli
+from mild2 import cli, oracle
 from mild2.acceptance import (
     GOLDEN_EX1_PRESENT,
     GOLDEN_EX1_REDUCE,
@@ -322,10 +322,12 @@ def test_oracle_f2pi_ring():
 
 
 def test_memory_cap_flag_and_env():
-    # degree 8 is bounded at about 3.0 MiB
-    code, err = run_err(["oracle", "--primes", EX1, "--max", "8", "--memory-cap-mib", "2"])
-    assert code == 5 and "cap" in err
-    # degree 7 is bounded at about 0.74 MiB, and nothing before it holds more
+    # degree 8 is bounded at about 1.8 MiB as the last degree, 3.0 MiB as a middle one
+    code, err = run_err(["oracle", "--primes", EX1, "--max", "8", "--memory-cap-mib", "1"])
+    assert code == 5 and err == "error: degree 8 needs about 2 MiB of rows, above the 1 MiB cap"
+    code, err = run_err(["oracle", "--primes", EX1, "--max", "9", "--memory-cap-mib", "2"])
+    assert code == 5 and err == "error: degree 8 needs about 4 MiB of rows, above the 2 MiB cap"
+    # degree 7 is bounded at about 0.47 MiB, and nothing before it holds more
     code, out = run(["oracle", "--primes", EX1, "--max", "7", "--memory-cap-mib", "1"])
     assert code == 0 and out.endswith("verdict = match")
     # a cap below 1 MiB is an input error, not a guard stop
@@ -342,6 +344,23 @@ def test_unexpected_error_has_its_own_exit_code(monkeypatch):
     code, err = run_err(["linking", "--primes", EX1])
     assert code == 70
     assert err.splitlines() == ["error: internal: KeyError: 'lost'"]
+
+
+def test_oracle_fault_has_the_internal_exit_code(monkeypatch):
+    relator_rows = oracle._relator_rows
+
+    def faulty(words, table, dims, n):
+        yield from relator_rows(words, table, dims, n)
+        if n == 3:  # every unit row: the quotient of degree 3 drops to 0
+            yield from (1 << c for c in range(4 * dims[2]))
+
+    monkeypatch.setattr(oracle, "_relator_rows", faulty)
+    code, err = run_err(["oracle", "--primes", EX1, "--max", "4"])
+    assert code == 70
+    assert err.splitlines() == [
+        "error: internal: RuntimeError: oracle fault: degree 3 has dimension 0, below 32,"
+        " Anick's lower bound for 4 letters and 4 quadratic relators"
+    ]
 
 
 def test_augment_json_and_bound_exit():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import mild2
-from mild2.arith import BoundExceededError, legendre, next_prime_in_class
+from mild2.arith import BoundExceededError, is_prime, legendre, next_prime_in_class
 from mild2.linking import (
     NoEliminableGeneratorError,
     Presentation,
@@ -71,8 +71,12 @@ def test_linking_data_unlinked_pair():
 def test_linking_data_matches_definition_randomly():
     rng = random.Random(2)
     primes_pool = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
-    for _ in range(50):
-        subset = tuple(rng.sample(primes_pool, rng.randint(2, 6)))
+    while len(primes_pool) < 40:  # and primes up to the 64-bit limit
+        q = rng.getrandbits(rng.randint(8, 64)) | 1
+        if q > 3 and q not in primes_pool and is_prime(q):
+            primes_pool.append(q)
+    for _ in range(80):
+        subset = tuple(rng.sample(primes_pool, rng.randint(2, 12)))
         data = linking_data(subset)
         for i, p in enumerate(subset):
             assert data.a[i] == (1 if p % 4 == 3 else 0)
@@ -81,6 +85,12 @@ def test_linking_data_matches_definition_randomly():
                     assert data.ell[i][j] == 0
                 else:
                     assert data.ell[i][j] == (1 if legendre(p, q) == -1 else 0)
+
+
+@pytest.mark.parametrize("primes", [(), (3, 3), (2, 5), (9, 5), (5, 2**64 + 1)])
+def test_linking_data_refuses_what_ordered_prime_set_refuses(primes):
+    with pytest.raises(ValueError):
+        linking_data(primes)
 
 
 def test_linking_data_permutation_equivariance():

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from mild2 import gf2
+from mild2 import gf2, oracle
 from mild2.linking import QuadraticRelator, eliminate_generator, koch_presentation
 from mild2.oracle import (
     MemoryGuardError,
@@ -108,23 +108,58 @@ def test_quotient_dims_row_operation_invariance():
 
 
 def test_quotient_dims_memory_guard():
-    # degree 7 is bounded at about 0.74 MiB, degree 8 at about 3.0 MiB
+    # a middle degree is bounded at about 0.74 MiB at degree 7 and 3.0 MiB at
+    # degree 8; the last degree builds no table: about 0.47 and 1.8 MiB
+    with pytest.raises(MemoryGuardError, match="degree 8 .* above the 1 MiB cap"):
+        quotient_dims(4, reduced_polys(EX1), 8, memory_cap_mib=1)
     with pytest.raises(MemoryGuardError, match="degree 8 .* above the 2 MiB cap"):
-        quotient_dims(4, reduced_polys(EX1), 8, memory_cap_mib=2)
+        quotient_dims(4, reduced_polys(EX1), 9, memory_cap_mib=2)
+    quotient_dims(4, reduced_polys(EX1), 8, memory_cap_mib=2)
     quotient_dims(4, reduced_polys(EX1), 7, memory_cap_mib=1)
 
 
 def test_pivot_table_estimate_covers_the_measured_peak():
     polys = reduced_polys(EX1)
-    tracemalloc.start()
-    try:
-        profile = quotient_dims(4, polys, 8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    dims = profile.dims().values
-    estimate = max(_degree_bytes(4 * dims[n - 1], 4 * dims[n - 2]) for n in range(2, 9))
-    assert estimate >= peak
+    for n_max in (8, 9):  # degree 8 ranked, then mapped
+        tracemalloc.start()
+        try:
+            profile = quotient_dims(4, polys, n_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dims = profile.dims().values
+        # the estimate the guard applies at each degree, the last one included
+        estimate = max(
+            _degree_bytes(4 * dims[n - 1], 4 * dims[n - 2] if n > 1 else 0, n == n_max)
+            for n in range(1, n_max + 1)
+        )
+        assert estimate >= peak, n_max
+
+
+def test_last_degree_is_ranked_not_mapped(monkeypatch):
+    mapped = []
+    quotient_map = gf2.quotient_map
+
+    def spy(rows, n_cols):
+        mapped.append(n_cols)
+        return quotient_map(rows, n_cols)
+
+    monkeypatch.setattr(gf2, "quotient_map", spy)
+    dims = quotient_dims(4, reduced_polys(EX1), 6).dims().values
+    assert dims == (1, 4, 12, 32, 80, 192, 448)
+    assert mapped == [4 * dims[n - 1] for n in range(1, 6)]
+
+
+def test_echelon_length_is_the_quotient_dimension():
+    rng = random.Random(12)
+    for _ in range(300):
+        n_cols = rng.randint(0, 150)
+        rows = [
+            rng.getrandbits(n_cols) & rng.getrandbits(n_cols) >> rng.randint(0, n_cols)
+            for _ in range(rng.randint(0, n_cols + 4))
+        ]
+        rows += rng.sample(rows, len(rows) // 4)  # dependent rows
+        assert n_cols - len(gf2.echelon(rows)) == gf2.quotient_map(rows, n_cols)[1]
 
 
 def numeral(word, d):
@@ -194,6 +229,34 @@ def test_normal_word_recursion_matches_brute_force_on_random_relators():
         sig = WeightSignature((1,) * d, tuple(p.degree() for p in polys))
         not_strongly_free += dims != strongly_free_series(sig, n_max).coeffs
     assert 20 <= not_strongly_free <= 140
+
+
+def test_dimensions_keep_anicks_lower_bound_on_random_relators():
+    rng = random.Random(1982)
+    for trial in range(120):
+        d = 1 + trial % 4
+        n_max = 7 if d <= 2 else 5
+        polys = random_relators(rng, d, F2)
+        dims = quotient_dims(d, polys, n_max).dims().values
+        floor = strongly_free_series(WeightSignature((1,) * d, (2,) * len(polys)), n_max).coeffs
+        positive = next((n for n, c in enumerate(floor) if c <= 0), n_max + 1)
+        assert all(dims[n] >= floor[n] for n in range(positive)), trial
+
+
+@pytest.mark.parametrize("ring", [F2, F2PI])
+@pytest.mark.parametrize("n_max", [3, 4])
+def test_a_dimension_below_anicks_bound_is_an_oracle_fault(monkeypatch, ring, n_max):
+    relator_rows = oracle._relator_rows
+
+    def faulty(words, table, dims, n):
+        yield from relator_rows(words, table, dims, n)
+        if n == 3:  # every unit row: the quotient of degree 3 drops to 0
+            yield from (1 << c for c in range(4 * dims[2]))
+
+    monkeypatch.setattr(oracle, "_relator_rows", faulty)
+    # degree 3 is mapped when n_max is 4 and ranked when it is 3
+    with pytest.raises(RuntimeError, match="degree 3 has dimension 0, below 32"):
+        quotient_dims(4, reduced_polys(EX1, ring), n_max, ring)
 
 
 def pi_span_reference(d, polys, n_max, ring):
