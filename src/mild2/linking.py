@@ -14,12 +14,22 @@ the remaining relators by
   l'_ij = l_ij  XOR  (l_it AND c_j)        (j != i, t; squares unchanged)
 
 where t is the eliminated index and c_j its substitution bits.
+
+A set of letters is one int, letter i at bit i (bit 0 unused).  Each
+QuadraticRelator derives, on first use, its masks: the square mask, with bit
+i set iff xi^2 occurs, and one (pair mask, column) entry per commutator
+[xi, xj], i < j, in ascending order, whose pair mask has bits i and j and
+whose column (i - 1) * d + j - 1 is the commutator's place in a row of d * d
+columns.  The rank criterion reads a relator through them: for the letters
+S of a partition, squares & S is a square in S, pair & S == pair a
+commutator inside S, and any other nonzero pair & S a crossing commutator.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .arith import BoundExceededError, check_odd_prime, legendre, next_prime_in_class
 
@@ -118,6 +128,14 @@ class QuadraticRelator:
         if any(self.squares[k] for k in range(self.d) if k != i - 1):
             return False
         return all(i in pair for pair in self.comms)
+
+    @cached_property
+    def masks(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """(square mask, ((pair mask, column), ...)), laid out as the module
+        docstring says; kept out of ==, hash and repr, which read fields only."""
+        squares = sum(1 << i for i, b in enumerate(self.squares, 1) if b)
+        pairs = tuple((1 << i | 1 << j, (i - 1) * self.d + j - 1) for i, j in sorted(self.comms))
+        return squares, pairs
 
     def comm_partners(self, i: int) -> list[int]:
         """Indices j with [xi, xj] present, ascending."""
@@ -257,6 +275,14 @@ class Presentation:
                 raise ValueError(f"relator {k}: owner, square and comms entries must be integers")
             if square and owner is None:
                 raise ValueError("a square bit needs an owner index to attach to")
+            # a pair listed twice, in either order, sums to zero over GF(2),
+            # while the relator's set of pairs would keep one copy of it
+            listed: dict[tuple[int, int], list[int]] = {}
+            for pair in comms:
+                key = (min(pair), max(pair))
+                if key in listed:
+                    raise ValueError(f"relator {k}: comms list the pair {listed[key]} twice, as {pair}")
+                listed[key] = pair
             # QuadraticRelator checks the square bit is 0/1 and every index is in 1..d
             squares = [square if i == owner else 0 for i in range(1, d + 1)]
             relators.append(QuadraticRelator(d, squares, comms, owner))

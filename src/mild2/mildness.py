@@ -19,6 +19,7 @@ quotient-dimension oracle into one report.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -47,33 +48,55 @@ def parity_partition(d: int) -> Partition:
 
 
 def _check_same_d(relators) -> int:
-    ds = {rel.d for rel in relators}
-    if len(ds) != 1:
-        raise ValueError(f"relators disagree on the generator count: {sorted(ds)}")
-    return ds.pop()
+    d = relators[0].d
+    for rel in relators:
+        if rel.d != d:
+            ds = sorted({rel.d for rel in relators})
+            raise ValueError(f"relators disagree on the generator count: {ds}")
+    return d
+
+
+@functools.lru_cache(maxsize=64)
+def _letter_bits(d: int) -> dict[int, int]:
+    return {i: 1 << i for i in range(1, d + 1)}
 
 
 def rank_criterion(relators, part: Partition) -> bool:
     """Rank test for one partition; True certifies strong freeness (mildness).
     This is the partition's validity check: ValueError unless its blocks hold
-    each of 1..d exactly once.  With no relators there is no d: True."""
+    each of 1..d exactly once.  With no relators there is no d: True.
+
+    S is read as one int of letter bits and each relator through its masks
+    (see mild2.linking): a square in S or a commutator inside S fails the
+    partition, and the crossing commutators make the relator's row."""
     relators = tuple(relators)
     if not relators:
         return True
     d = _check_same_d(relators)
-    if sorted(part.S + part.Sp) != list(range(1, d + 1)):
+    bit = _letter_bits(d)
+    s = sp = 0
+    try:
+        for i in part.S:
+            s |= bit[i]
+        for i in part.Sp:
+            sp |= bit[i]
+    except KeyError:  # a letter outside 1..d
+        s = sp = 0
+    # d letters whose bits fill bits 1..d are d distinct letters
+    if len(part.S) + len(part.Sp) != d or s | sp != (2 << d) - 2:
         raise ValueError(f"partition {part} is not a partition of 1..{d}")
-    s_set = set(part.S)
     rows = []
     for rel in relators:
-        if any(rel.squares[i - 1] for i in part.S):
+        squares, pairs = rel.masks
+        if squares & s:
             return False
         row = []
-        for i, j in rel.comms:
-            if i in s_set and j in s_set:
+        for pair, col in pairs:
+            inside = pair & s
+            if inside == pair:
                 return False
-            if i in s_set or j in s_set:
-                row.append((i - 1) * d + j - 1)
+            if inside:
+                row.append(col)
         rows.append(row)
     return gf2.rank_of_rows(rows, d * d) == len(relators)
 
@@ -121,9 +144,11 @@ def find_mild_partition(relators) -> Partition | None:
         return first
     everything = range(1, d + 1)
     for size in range(d + 1):
-        for sp in itertools.combinations(everything, size):
-            in_sp = set(sp)
-            part = Partition(tuple(i for i in everything if i not in in_sp), sp)
+        # the complements of the size-subsets in lexicographic order are the
+        # (d - size)-subsets in reverse lexicographic order
+        blocks = list(itertools.combinations(everything, d - size))
+        for sp, s in zip(itertools.combinations(everything, size), reversed(blocks)):
+            part = Partition(s, sp)
             if rank_criterion(relators, part):
                 return part
     return None

@@ -30,6 +30,9 @@ are m * dim Q_{n-2}, so dim Q_n >= d * dim Q_{n-1} - m * dim Q_{n-2}, and
 therefore (Anick, J. Algebra 78, 1982) dim Q_n is at least the coefficient
 of t^n in 1 / (1 - d*t + m*t^2) up to the first nonpositive one.  A
 dimension below that bound is a fault of the oracle and raises RuntimeError.
+The same bound sizes every degree before the first is reduced: the memory a
+degree holds grows with the dimensions, so a degree whose estimate on the
+bound already passes the memory cap is refused up front.
 
 Only pi-free relators are accepted, so over F2[pi] the quotient is
 F2[pi] (x) Q with Q the F2 quotient: its degree-n slice is the sum of
@@ -128,6 +131,23 @@ def _degree_bytes(n_cols: int, prev_cols: int, last: bool) -> int:
     return echelon + triangle(prev_cols, 8) + (0 if last else triangle(n_cols, 8))
 
 
+def _guard(n: int, estimate: int, memory_cap_mib: int) -> None:
+    if estimate > memory_cap_mib * 2**20:
+        raise MemoryGuardError(
+            f"degree {n} needs about {-(-estimate // 2**20)} MiB of rows,"
+            f" above the {memory_cap_mib} MiB cap"
+        )
+
+
+def _anick_floor(d: int, m: int, n_max: int) -> list[int]:
+    """Anick's lower bound on dim Q_0..dim Q_n_max: the coefficients of
+    1 / (1 - d*t + m*t^2) up to the first nonpositive one, 0 from there on."""
+    floor = [1, d]
+    while len(floor) <= n_max:
+        floor.append(max(d * floor[-1] - m * floor[-2], 0) if floor[-1] else 0)
+    return floor[: n_max + 1]
+
+
 def _relator_rows(words, table, dims, n: int):
     """q' * rho in degree n for every relator rho and every normal word q' of
     degree n - 2, as a row over the columns (a, q); table is degree n - 1's."""
@@ -162,7 +182,9 @@ def quotient_dims(
     normal-form table is held, and degree n_max is ranked, not mapped.  The
     rank reported is d^n - dim Q_n.  Over F2[pi] every column of the profile
     is the running sum of the F2 one.  What a degree holds is bounded before
-    its rows are built, and crossing memory_cap_mib raises MemoryGuardError.
+    its rows are built, and crossing memory_cap_mib raises MemoryGuardError;
+    the bound is first taken on Anick's floor for every degree, so a request
+    it already refuses builds nothing.
     An F2 dimension below Anick's lower bound for d letters and m relators
     is an oracle fault and raises RuntimeError.
     """
@@ -172,30 +194,27 @@ def quotient_dims(
     _check_relators(unit_alphabet(d), relators, ring)
     words = [[word for _, word in rel.terms] for rel in relators]
     m = len(relators)
+    floor = _anick_floor(d, m, n_max)
+    # The estimates grow with the dimensions, and no dimension is below the
+    # floor: a degree refused on the floor is refused before any row is built.
+    for n in range(1, n_max + 1):
+        prev_cols = d * floor[n - 2] if n > 1 else 0
+        _guard(n, _degree_bytes(d * floor[n - 1], prev_cols, n == n_max), memory_cap_mib)
     dims = [1]
     table: list[int] = []
-    # coefficients of t^(n-1) and t^n in 1 / (1 - d*t + m*t^2), while positive
-    floor_prev, floor = 1, d
     for n in range(1, n_max + 1):
         n_cols, last = d * dims[n - 1], n == n_max
-        estimate = _degree_bytes(n_cols, len(table), last)
-        if estimate > memory_cap_mib * 2**20:
-            raise MemoryGuardError(
-                f"degree {n} needs about {-(-estimate // 2**20)} MiB of rows,"
-                f" above the {memory_cap_mib} MiB cap"
-            )
+        _guard(n, _degree_bytes(n_cols, len(table), last), memory_cap_mib)
         rows = _relator_rows(words, table, dims, n)
         if last:
             dim = n_cols - len(gf2.echelon(rows))
         else:
             table, dim = gf2.quotient_map(rows, n_cols)
-        if dim < floor:
+        if dim < floor[n]:
             raise RuntimeError(
-                f"oracle fault: degree {n} has dimension {dim}, below {floor},"
+                f"oracle fault: degree {n} has dimension {dim}, below {floor[n]},"
                 f" Anick's lower bound for {d} letters and {m} quadratic relators"
             )
-        if floor > 0:
-            floor_prev, floor = floor, d * floor - m * floor_prev
         dims.append(dim)
     counts = [d**n for n in range(n_max + 1)]
     ranks = [count - dim for count, dim in zip(counts, dims)]

@@ -151,6 +151,8 @@ def test_missing_file_exit_2(tmp_path):
         {"relators": [{"owner": 1, "square": 0, "comms": [[1, 1000000000]]}]},
         {"relators": [{"owner": 1, "square": 0, "comms": [[1, 1000000000]]}], "a": [0, 0]},
         {"relators": [{"owner": 1, "square": 1, "comms": [[1, 2]]}]},
+        {"a": [0, 0], "relators": [{"square": 0, "comms": [[1, 2], [2, 1]]}]},
+        {"a": [0, 0, 0], "relators": [{"comms": [[1, 3]]}, {"comms": [[1, 2], [2, 3], [1, 2]]}]},
     ],
 )
 def test_malformed_presentation_json_exit_2(tmp_path, blob):
@@ -334,6 +336,15 @@ def test_memory_cap_flag_and_env():
     with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
         cli.main(["oracle", "--primes", EX1, "--max", "6", "--memory-cap-mib", "0"])
     assert exc.value.code == 2
+
+
+def test_a_doomed_oracle_request_is_refused_before_any_degree_is_built():
+    # Anick's floor equals the dimensions here, so degree 12 is refused
+    # before degrees 1..11, about 15 s of work, are built
+    start = time.perf_counter()
+    code, err = run_err(["oracle", "--primes", EX1, "--max", "13"])
+    assert time.perf_counter() - start < 2
+    assert code == 5 and err == "error: degree 12 needs about 1375 MiB of rows, above the 1024 MiB cap"
 
 
 def test_unexpected_error_has_its_own_exit_code(monkeypatch):

@@ -129,6 +129,24 @@ def test_quadratic_relator_normalization():
         QuadraticRelator(3, (0, 0, 0), {(1, 4)})
 
 
+def test_relator_masks_follow_the_documented_layout():
+    rel = QuadraticRelator(4, (0, 1, 0, 1), {(1, 2), (3, 4), (2, 3)}, owner=2)
+    # bit i is letter i; a pair's column is (i - 1) * d + j - 1
+    assert rel.masks == (0b10100, ((0b00110, 1), (0b01100, 6), (0b11000, 11)))
+    assert QuadraticRelator(3, (0, 0, 0), ()).masks == (0, ())
+
+
+def test_masks_stay_out_of_the_record():
+    for rel in koch_presentation(EX1).relators + (QuadraticRelator(3, (1, 0, 1), {(1, 2)}),):
+        fresh = QuadraticRelator(rel.d, rel.squares, rel.comms, rel.owner)
+        blob = rel.to_json_dict() if rel.owner else None
+        before = (repr(rel), hash(rel))
+        assert rel.masks  # derived on rel, not on fresh
+        assert rel == fresh and fresh == rel and len({rel, fresh}) == 1
+        assert (repr(rel), hash(rel)) == before == (repr(fresh), hash(fresh))
+        assert blob is None or rel.to_json_dict() == blob == fresh.to_json_dict()
+
+
 def test_koch_presentation_first_example_text():
     pres = koch_presentation(EX1)
     assert pres.text() == (
@@ -321,6 +339,8 @@ def test_presentation_json_rejects_bad_shapes():
         ({"relators": [{"owner": 1, "comms": [[1, 10**9]]}], "a": [0, 0]}, "out of range for d = 2"),
         ({"relators": [{"owner": 1, "square": 1, "comms": [[1, 2]]}]}, "array for d"),
         ({"relators": [], "a": [0], "primes": [3, 5]}, "of one length d"),
+        ({"relators": [{"comms": [[1, 2], [2, 1]]}], "a": [0, 0]}, r"relator 1: .*pair \[1, 2\] twice"),
+        ({"relators": [{}, {"comms": [[2, 3], [1, 3], [2, 3]]}], "a": [0] * 3}, r"relator 2: .*\[2, 3\] twice"),
     ],
 )
 def test_presentation_json_errors_name_the_failing_check(blob, message):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from mild2 import gf2, mildness
-from mild2.arith import BoundExceededError
+from mild2.arith import BoundExceededError, is_prime
 from mild2.linking import Presentation, QuadraticRelator, koch_presentation
 from mild2.mildness import (
     MAX_ENUMERATION_D,
@@ -288,26 +288,78 @@ def all_partitions(d):
             yield Partition(tuple(i for i in everything if i not in sp), sp)
 
 
+def random_koch_sets(rng, count, max_d):
+    """Relators of Koch presentations on random primes below 2000, after
+    check_mild's elimination when the product relation allows it: d <= max_d."""
+    from mild2.linking import eliminate_generator
+
+    primes = [p for p in range(3, 2000, 2) if is_prime(p)]
+    for _ in range(count):
+        pres = koch_presentation(rng.sample(primes, rng.randint(3, max_d + 1)))
+        if any(pres.product_relation):
+            pres = eliminate_generator(pres)
+        if pres.d <= max_d:
+            yield pres.relators
+
+
 def test_rank_criterion_matches_basis_reference_on_every_partition():
     rng = random.Random(41)
     outcomes = set()
+    samples = []
     for _ in range(150):
         d = rng.randint(2, 7)
         p_square, p_comm = rng.choice((0.05, 0.2)), rng.choice((0.2, 0.5))
         pairs = list(itertools.combinations(range(1, d + 1), 2))
-        rels = [
+        samples.append([
             QuadraticRelator(
                 d,
                 tuple(int(rng.random() < p_square) for _ in range(d)),
                 {pair for pair in pairs if rng.random() < p_comm},
             )
             for _ in range(rng.randint(1, d))
-        ]
-        for part in all_partitions(d):
-            expected = rank_criterion_reference(rels, part)
-            assert rank_criterion(rels, part) == expected, (rels, part)
-            outcomes.add(expected)
-    assert outcomes == {True, False}
+        ])
+    koch = list(random_koch_sets(rng, 40, 10))
+    assert max(rels[0].d for rels in koch) == 10
+    for kind, sets in (("random", samples), ("koch", koch)):
+        for rels in sets:
+            for part in all_partitions(rels[0].d):
+                expected = rank_criterion_reference(rels, part)
+                assert rank_criterion(rels, part) == expected, (rels, part)
+                outcomes.add((kind, expected))
+    assert outcomes == {("random", True), ("random", False), ("koch", True), ("koch", False)}
+
+
+def test_partition_validation_matches_the_sorted_letters_check():
+    rng = random.Random(17)
+    refused = 0
+    for _ in range(3000):
+        d = rng.randint(1, 7)
+        rel = QuadraticRelator(d, (0,) * d, {(1, 2)} if d > 1 else set())
+        letters = list(range(1, d + 1))
+        rng.shuffle(letters)
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            k = rng.randrange(len(letters) + 1)
+            change = rng.choice(("repeat", "zero", "negative", "above", "drop"))
+            if change == "repeat":
+                letters.insert(k, rng.choice(letters or [1]))
+            elif change == "zero":
+                letters.insert(k, 0)
+            elif change == "negative":
+                letters.insert(k, -rng.randint(1, d + 1))
+            elif change == "above":
+                letters.insert(k, d + rng.randint(1, d + 1))
+            elif letters:
+                letters.pop(k % len(letters))
+        cut = rng.randint(0, len(letters))
+        part = Partition(tuple(letters[:cut]), tuple(letters[cut:]))
+        if sorted(part.S + part.Sp) != list(range(1, d + 1)):
+            refused += 1
+            with pytest.raises(ValueError) as exc:
+                rank_criterion((rel,), part)
+            assert str(exc.value) == f"partition {part} is not a partition of 1..{d}"
+        else:
+            assert rank_criterion((rel,), part) in (True, False)
+    assert 1000 < refused < 2500
 
 
 def circuit_criterion_reference(relators):

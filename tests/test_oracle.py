@@ -259,6 +259,25 @@ def test_a_dimension_below_anicks_bound_is_an_oracle_fault(monkeypatch, ring, n_
         quotient_dims(4, reduced_polys(EX1, ring), n_max, ring)
 
 
+def test_anicks_floor_is_the_series_up_to_its_first_nonpositive_coefficient():
+    for d in range(1, 6):
+        for m in range(0, 8):
+            series = strongly_free_series(WeightSignature((1,) * d, (2,) * m), 9).coeffs
+            stop = next((n for n, c in enumerate(series) if c <= 0), 10)
+            expected = list(series[:stop]) + [0] * (10 - stop)
+            assert oracle._anick_floor(d, m, 9) == expected, (d, m)
+    assert oracle._anick_floor(4, 4, 0) == [1]
+
+
+@pytest.mark.parametrize("n_max, cap, degree, mib", [(13, 1024, 12, 1375), (9, 2, 8, 4), (8, 1, 8, 2)])
+def test_a_request_refused_on_anicks_floor_builds_no_row(monkeypatch, n_max, cap, degree, mib):
+    built = []
+    monkeypatch.setattr(oracle, "_relator_rows", lambda words, table, dims, n: built.append(n) or iter(()))
+    with pytest.raises(MemoryGuardError, match=f"^degree {degree} needs about {mib} MiB of rows"):
+        quotient_dims(4, reduced_polys(EX1), n_max, memory_cap_mib=cap)
+    assert built == []
+
+
 def pi_span_reference(d, polys, n_max, ring):
     """Quotient profile through degree n_max by spanning pi^k * u * rho * v
     with NcPoly arithmetic (k = 0 over F2), ranked on each degree's monomial
