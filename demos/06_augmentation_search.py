@@ -4,8 +4,9 @@ Augmenting a prime set until it is mild
 
 A small set of odd primes rarely carries a mild presentation on its own.
 Interleaving auxiliary primes, chosen by explicit quadratic-residue
-conditions, repairs that: the search below finds the smallest working
-choice and certifies the result.
+conditions, repairs that: any choice that meets the conditions is mild
+(the theorem written next to mild2.linking.augment), so the construction
+below takes the smallest one and certifies it.
 """
 
 import json
@@ -28,8 +29,8 @@ for q_aux, q_last in [((41, 5), 19), ((5, 41), 19)]:
         print("  violation:", line)
 print()
 
-# The deterministic search scans candidates in ascending order and stops at
-# the first tuple whose interleaved prime set is mild.
+# The construction scans candidates in ascending order and returns the first
+# tuple that meets the conditions: it is mild by the theorem, so attempts is 1.
 result = augment(seed)
 print("q_aux:   ", result.q_aux)
 print("q_last:  ", result.q_last)
@@ -42,6 +43,7 @@ print()
 # the seed prime it guards.
 assert result.S == interleave(seed, result.q_aux, result.q_last)
 
-# And the produced set really is mild.
+# And the produced set really is mild, with the parity split as its witness,
+# as the theorem's proof says.
 report = check_mild(koch_presentation(result.S))
 print(report.text())

@@ -3,10 +3,10 @@
 Subcommands: linking, present, reduce, check-mild, augment, series, dims,
 oracle, basis, selftest.  Exit codes: 0 success (and mild verdicts),
 2 input errors, 3 not_shown, 4 inapplicable, 5 resource-guard stops
-(memory cap, exhausted search bound, partition search limit, basis word
-limit, series size limit), 70 an unexpected internal error (one
-"error: internal:" line); the oracle subcommand exits 1 on a dimension
-mismatch.
+(memory cap, exhausted augmentation bound, partition search limit once the
+parity split fails, basis word limit, series size limit), 70 an unexpected
+internal error (one "error: internal:" line); the oracle subcommand exits 1
+on a dimension mismatch.
 """
 
 from __future__ import annotations

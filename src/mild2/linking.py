@@ -1,5 +1,5 @@
 """Linking data of odd prime sets, the quadratic presentations they induce,
-generator elimination, and the greedy augmentation search.
+generator elimination, and the augmentation construction.
 
 For an ordered set of odd primes S = (p_1, ..., p_d):
 
@@ -43,11 +43,11 @@ class NoEliminableGeneratorError(ValueError):
 
 def ordered_prime_set(primes) -> tuple[int, ...]:
     """Validate an ordered tuple of distinct odd primes."""
-    out = tuple(int(p) for p in primes)
+    out = tuple(primes)
     if not out:
         raise ValueError("at least one prime is required")
     for p in out:
-        check_odd_prime(p)
+        check_odd_prime(p)  # also refuses non-integers and booleans
     if len(set(out)) != len(out):
         raise ValueError(f"primes must be distinct, got {out}")
     return out
@@ -105,18 +105,19 @@ class QuadraticRelator:
     owner: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "squares", tuple(int(b) for b in self.squares))
+        object.__setattr__(self, "squares", tuple(self.squares))
         object.__setattr__(
             self, "comms", frozenset((min(i, j), max(i, j)) for i, j in self.comms)
         )
         if len(self.squares) != self.d:
             raise ValueError(f"squares vector has length {len(self.squares)}, expected {self.d}")
-        if any(b not in (0, 1) for b in self.squares):
-            raise ValueError("squares entries must be 0 or 1")
+        # type() rather than int(): 0.6 must not pass as 0, nor True as 1
+        if any(type(b) is not int or b not in (0, 1) for b in self.squares):
+            raise ValueError("squares entries must be the integers 0 or 1")
         for i, j in self.comms:
-            if not (1 <= i < j <= self.d):
+            if type(i) is not int or type(j) is not int or not (1 <= i < j <= self.d):
                 raise ValueError(f"commutator pair ({i}, {j}) out of range for d = {self.d}")
-        if self.owner is not None and not 1 <= self.owner <= self.d:
+        if self.owner is not None and (type(self.owner) is not int or not 1 <= self.owner <= self.d):
             raise ValueError(f"owner {self.owner} out of range 1..{self.d}")
 
     @property
@@ -185,13 +186,11 @@ class Presentation:
     def __post_init__(self):
         object.__setattr__(self, "relators", tuple(self.relators))
         if self.product_relation is not None:
-            object.__setattr__(
-                self, "product_relation", tuple(int(b) for b in self.product_relation)
-            )
+            object.__setattr__(self, "product_relation", tuple(self.product_relation))
             if len(self.product_relation) != self.d:
                 raise ValueError("product relation length does not match generator count")
-            if any(b not in (0, 1) for b in self.product_relation):
-                raise ValueError("product relation entries must be 0 or 1")
+            if any(type(b) is not int or b not in (0, 1) for b in self.product_relation):
+                raise ValueError("product relation entries must be the integers 0 or 1")
         if self.primes is not None:
             object.__setattr__(self, "primes", tuple(self.primes))
             if len(self.primes) != self.d:
@@ -303,15 +302,14 @@ def koch_presentation(primes) -> Presentation:
     return Presentation(d, tuple(relators), product_relation=data.a, primes=data.primes)
 
 
-def _substitute(rel: QuadraticRelator, t: int, c: tuple[int, ...]) -> QuadraticRelator:
-    """Rewrite one relator under xt -> prod_j xj^(c_j) (c has c_t = 0)."""
+def _eliminate_from(rel: QuadraticRelator, t: int, support: tuple[int, ...]) -> QuadraticRelator:
+    """Rewrite one relator under xt -> prod_(j in support) xj (t not in
+    support), then drop xt and shift the indices above t down by one."""
     squares = list(rel.squares)
     comms = set(rel.comms)
-    support = [j for j, bit in enumerate(c, 1) if bit]
     if squares[t - 1]:
         # xt^2 expands through the square of the substituted product:
-        # sum c_j xj^2 plus cross commutators [xj, xj'].
-        squares[t - 1] = 0
+        # sum xj^2 over the support plus cross commutators [xj, xj'].
         for j in support:
             squares[j - 1] ^= 1
         for j, jp in itertools.combinations(support, 2):
@@ -322,15 +320,11 @@ def _substitute(rel: QuadraticRelator, t: int, c: tuple[int, ...]) -> QuadraticR
         for j in support:
             if j != other:
                 comms ^= {(min(other, j), max(other, j))}
-    return QuadraticRelator(rel.d, tuple(squares), frozenset(comms), rel.owner)
-
-
-def _drop_index(rel: QuadraticRelator, t: int) -> QuadraticRelator:
+    del squares[t - 1]
     shift = lambda i: i - 1 if i > t else i
-    squares = tuple(b for k, b in enumerate(rel.squares, 1) if k != t)
-    comms = frozenset((shift(i), shift(j)) for i, j in rel.comms)
+    comms = frozenset((shift(i), shift(j)) for i, j in comms)
     owner = shift(rel.owner) if rel.owner is not None else None
-    return QuadraticRelator(rel.d - 1, squares, comms, owner)
+    return QuadraticRelator(rel.d - 1, tuple(squares), comms, owner)
 
 
 def eliminate_generator(pres: Presentation, t: int | None = None) -> Presentation:
@@ -350,10 +344,8 @@ def eliminate_generator(pres: Presentation, t: int | None = None) -> Presentatio
         raise ValueError(f"generator index {t} out of range 1..{pres.d}")
     if not prod[t - 1]:
         raise NoEliminableGeneratorError(f"generator x{t} does not appear in the product relation")
-    c = tuple(b if j != t else 0 for j, b in enumerate(prod, 1))
-    relators = tuple(
-        _drop_index(_substitute(rel, t, c), t) for rel in pres.relators if rel.owner != t
-    )
+    support = tuple(j for j, b in enumerate(prod, 1) if b and j != t)
+    relators = tuple(_eliminate_from(rel, t, support) for rel in pres.relators if rel.owner != t)
     primes = None
     note = f"eliminated x{t}"
     if pres.primes is not None:
@@ -365,7 +357,7 @@ def eliminate_generator(pres: Presentation, t: int | None = None) -> Presentatio
 
 
 # ---------------------------------------------------------------------------
-# Seed normalization, augmentation checks and the greedy augmentation search.
+# Seed normalization, augmentation checks and the augmentation construction.
 
 
 def normalize_seed(seed) -> tuple[int, ...]:
@@ -374,11 +366,9 @@ def normalize_seed(seed) -> tuple[int, ...]:
     If either class is missing, the smallest prime of that class outside the
     seed is adjoined, so the result always has both classes and length >= 2.
     """
-    ps = sorted(set(int(p) for p in seed))
+    ps = sorted({check_odd_prime(p) for p in seed})  # also refuses non-integers and booleans
     if not ps:
         raise ValueError("the seed must contain at least one odd prime")
-    for p in ps:
-        check_odd_prime(p)
     class1 = [p for p in ps if p % 4 == 1]
     class3 = [p for p in ps if p % 4 == 3]
     if not class1:
@@ -414,18 +404,16 @@ def validate_augmentation(s0, q_aux, q_last: int) -> ValidationReport:
       q_last = 3 (mod 4), nonsquare mod q'_1, square mod q'_i for i >= 2;
       q'_1 not a nonsquare mod exactly the seed primes = 3 (mod 4) (never mild).
     """
-    s0 = tuple(int(p) for p in s0)
-    q_aux = tuple(int(q) for q in q_aux)
-    q_last = int(q_last)
+    s0, q_aux = tuple(s0), tuple(q_aux)
     m = len(s0)
     bad: list[str] = []
     if m < 2:
         raise ValueError("the seed must be normalized (length >= 2)")
     if len(q_aux) != m:
         raise ValueError(f"expected {m} auxiliary primes, got {len(q_aux)}")
-    for q in q_aux + (q_last,):
-        check_odd_prime(q)
     everything = s0 + q_aux + (q_last,)
+    for q in everything:
+        check_odd_prime(q)  # also refuses non-integers and booleans
     if len(set(everything)) != len(everything):
         bad.append(f"primes are not pairwise distinct: {everything}")
     for i, q in enumerate(q_aux, 1):
@@ -516,8 +504,38 @@ def _candidate_tuples(s0, bound: int):
     return slots(())
 
 
+# Theorem: every tuple _candidate_tuples yields is mild; the parity split
+# passes the rank criterion (Labute, Crelle 596, 2006).
+#
+# Setup.  s0 = (q_1..q_m) with m >= 2 and q_m = 3 (mod 4), so a_m = 1, and
+# S = (q'_1, q_1, ..., q'_m, q_m, q_last).  check_mild eliminates x_last with
+# c_j = a_j, so l'_ij = l_ij + l_(i,last) a_j.  Write L_kl = l(q'_k, q_l),
+# which equals l(q_l, q'_k) by reciprocity, since q'_k = 1 (mod 4).  The
+# partition is S = {q'_k} (odd positions) and Sp = {q_l} (even positions).
+#
+# Valid.  No q'_k has a square, since each is 1 (mod 4).  l'(q'_k, q'_l) =
+# l(q'_k, q'_l) = 0 by (a), since a vanishes on the q'.  Every pair in a
+# q_l-relator contains q_l, in Sp.
+#
+# Rows.  Lay the crossing columns {q'_k, q_l} out as an m x m grid.  The
+# q'_k-relator is row k, with entries L_kl + [k = 1] a_l: l(q'_k, q_last) = 1
+# iff k = 1, by q_last's conditions and reciprocity.  The q_l-relator is
+# column l, with entries L_kl.
+#
+# Independence.  Suppose sum alpha_k row_k + sum beta_l col_l = 0.  At (k, l)
+# with k >= 2 this reads (alpha_k + beta_l) L_kl = 0.  (b) gives
+# L_kk = L_(k,k-1) = 1 for k >= 2, so every beta_l equals one beta, and
+# alpha_k = beta for k >= 2.  Row 1 then reads alpha_1 (L_1l + a_l) = beta L_1l
+# for every l.
+#   (alpha_1, beta) = (0, 1) contradicts L_1m = 1, which is (b).
+#   (1, 0) means L_1l = a_l for all l: the q'_1 that _relator_one_vanishes prunes.
+#   (1, 1) means a = 0, which contradicts a_m = 1.
+# So the 2m rows are independent, the rank criterion holds on the parity
+# split, and S is mild.
+
+
 def augment(seed, bound: int = DEFAULT_PRIME_BOUND) -> AugmentationResult:
-    """Greedy deterministic search for a mild augmentation of a seed set.
+    """Deterministic mild augmentation of a seed set: the first candidate tuple.
 
     Tuples (q'_1..q'_m, q_last) for the normalized seed (q_1..q_m) are
     scanned lexicographically, last slot fastest, over primes up to bound:
@@ -525,22 +543,25 @@ def augment(seed, bound: int = DEFAULT_PRIME_BOUND) -> AugmentationResult:
     only) and a square mod each earlier q'_j; q_last = 3 (mod 4), a nonsquare
     mod q'_1 and a square mod q'_2..q'_m.  A q'_1 that is a nonsquare mod
     exactly the seed primes = 3 (mod 4) is skipped: relator 1 then vanishes
-    after elimination, so all its tuples are inapplicable.  The first tuple
-    whose interleaved set is mild wins; attempts counts the tuples tried.
-    Raises BoundExceededError when the space up to the bound is exhausted.
+    after elimination, so all its tuples are inapplicable.  Every other tuple
+    is mild by the theorem above, so the first one is returned (attempts = 1)
+    once validate_augmentation and check_mild confirm it; AssertionError if
+    they do not.  Raises BoundExceededError when no tuple exists up to the
+    bound.
     """
     from .mildness import check_mild  # runtime import: mildness depends on this module
 
     s0 = normalize_seed(seed)
     if bound < 3:
         raise ValueError(f"auxiliary primes are odd, so the bound must be >= 3, got {bound}")
-    attempts = 0
-    for q_aux, q_last in _candidate_tuples(s0, bound):
-        attempts += 1
-        s = interleave(s0, q_aux, q_last)
-        if check_mild(koch_presentation(s)).verdict == "mild":
-            report = validate_augmentation(s0, q_aux, q_last)
-            if not report.ok:
-                raise AssertionError(f"internal error: candidate {s} violates {report.violations}")
-            return AugmentationResult(s0, q_aux, q_last, s, attempts)
-    raise BoundExceededError(f"no mild augmentation of seed {s0} with auxiliary primes <= {bound}")
+    first = next(_candidate_tuples(s0, bound), None)
+    if first is None:
+        raise BoundExceededError(f"no mild augmentation of seed {s0} with auxiliary primes <= {bound}")
+    q_aux, q_last = first
+    s = interleave(s0, q_aux, q_last)
+    report = validate_augmentation(s0, q_aux, q_last)
+    if not report.ok:
+        raise AssertionError(f"internal error: candidate {s} violates {report.violations}")
+    if check_mild(koch_presentation(s)).verdict != "mild":
+        raise AssertionError(f"internal error: candidate {s} is not certified mild")
+    return AugmentationResult(s0, q_aux, q_last, s, 1)

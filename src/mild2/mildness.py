@@ -131,17 +131,19 @@ def find_mild_partition(relators) -> Partition | None:
     """First partition satisfying the rank criterion, or None.
 
     Order: the parity split (S odd, Sp even) first, then every subset Sp by
-    ascending size and lexicographically within one size.
+    ascending size and lexicographically within one size.  Only that
+    enumeration is limited to d <= MAX_ENUMERATION_D; the parity split is
+    ranked at any d.
     """
     relators = tuple(relators)
     if not relators:
         return Partition((), ())
     d = _check_same_d(relators)
-    if d > MAX_ENUMERATION_D:
-        raise BoundExceededError(f"exhaustive partition search is limited to d <= {MAX_ENUMERATION_D}")
     first = parity_partition(d)
     if rank_criterion(relators, first):
         return first
+    if d > MAX_ENUMERATION_D:
+        raise BoundExceededError(f"exhaustive partition search is limited to d <= {MAX_ENUMERATION_D}")
     everything = range(1, d + 1)
     for size in range(d + 1):
         # the complements of the size-subsets in lexicographic order are the

@@ -47,8 +47,11 @@ class WeightSignature:
     h: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "e", tuple(int(x) for x in self.e))
-        object.__setattr__(self, "h", tuple(int(x) for x in self.h))
+        object.__setattr__(self, "e", tuple(self.e))
+        object.__setattr__(self, "h", tuple(self.h))
+        # type() rather than int(): 1.5 must not pass as 1, nor True as 1
+        if any(type(w) is not int for w in self.e + self.h):
+            raise ValueError(f"weights must be integers, got e = {self.e}, h = {self.h}")
         if not self.e:
             raise ValueError("a signature needs at least one generator weight")
         if any(w < 1 for w in self.e):

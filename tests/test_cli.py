@@ -383,6 +383,22 @@ def test_augment_json_and_bound_exit():
     assert code == 5
 
 
+def test_augment_and_check_mild_past_the_partition_search_limit():
+    # 12 seed primes: d = 24 after elimination; the parity split certifies it
+    # (see the theorem next to linking.augment), so no enumeration is needed
+    seed = "19,251,277,613,719,727,1163,1193,1531,1811,1933,2579"
+    S = [13, 277, 53, 613, 673, 1193, 757, 1933, 857, 19, 3449, 251, 9949, 719, 5953, 727,
+         19709, 1163, 137413, 1531, 23893, 1811, 315949, 2579, 102551]
+    code, out = run(["augment", "--seed", seed])
+    assert code == 0
+    assert json.loads(out)["S"] == S
+    code, out = run(["check-mild", "--primes", ",".join(map(str, S)), "--format", "json"])
+    assert code == 0
+    blob = json.loads(out)
+    assert (blob["verdict"], blob["criterion"]) == ("mild", "rank")
+    assert blob["witness"] == {"S": list(range(1, 25, 2)), "Sp": list(range(2, 25, 2))}
+
+
 def test_basis_outputs():
     code, out = run(["basis", "--kind", "y", "--weights", "1,1", "--max", "3"])
     assert code == 0

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 import mild2
 from mild2.arith import BoundExceededError, is_prime, legendre, next_prime_in_class
 from mild2.linking import (
+    AugmentationResult,
     NoEliminableGeneratorError,
     Presentation,
     QuadraticRelator,
@@ -25,7 +27,9 @@ from mild2.linking import (
     ordered_prime_set,
     validate_augmentation,
 )
+from mild2.mildness import check_mild, parity_partition, rank_criterion
 from mild2.quadlie import F2, NcPoly, mul, relator_to_poly, unit_alphabet
+from mild2.series import WeightSignature
 
 EX1 = (41, 13, 5, 3, 19)
 EX2 = (5, 29, 7, 11, 3)
@@ -41,6 +45,34 @@ def test_ordered_prime_set_validation():
         ordered_prime_set((2, 5))
     with pytest.raises(ValueError):
         ordered_prime_set((9, 5))
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (ordered_prime_set, ((41.9, 13, 5, 3, 19),)),
+        (koch_presentation, ((41.9, 13, 5, 3, 19),)),
+        (koch_presentation, ((41, 13, 5, 3, True),)),
+        (normalize_seed, ((13.7, 3),)),
+        (augment, ((13.7, 3),)),
+        (validate_augmentation, ((13.2, 3.9), (41.5, 5), 19.99)),
+        (validate_augmentation, ((13, 3), (41, 5), 19.0)),
+        (validate_augmentation, ((13.0, 3), (41, 5), 19)),
+        (QuadraticRelator, (2, (0.6, 1.9), {(1, 2)})),
+        (QuadraticRelator, (2, (0, 1.0), {(1, 2)})),
+        (QuadraticRelator, (2, (0, True), {(1, 2)})),
+        (QuadraticRelator, (2, (0, 0), {(1.0, 2)})),
+        (QuadraticRelator, (2, (0, 0), {(1, 2)}, 1.0)),
+        (Presentation, (2, (), (1.0, 0))),
+        (Presentation, (2, (), (True, 0))),
+        (WeightSignature, ((1.5, 1),)),
+        (WeightSignature, ((1, 1), (2.0,))),
+        (WeightSignature, ((True,),)),
+    ],
+)
+def test_non_integer_input_is_refused_not_truncated(build, args):
+    with pytest.raises(ValueError):
+        build(*args)
 
 
 def test_linking_data_first_example():
@@ -404,6 +436,56 @@ def test_augment_result_is_mild():
 def test_augment_bound_exhaustion():
     with pytest.raises(BoundExceededError):
         augment((13, 3), 20)
+
+
+def reference_augment(seed, bound):
+    """The search loop augment ran before its first tuple was proved mild:
+    check_mild on every tuple, in order, until one is mild."""
+    s0 = normalize_seed(seed)
+    attempts = 0
+    for q_aux, q_last in _candidate_tuples(s0, bound):
+        attempts += 1
+        s = interleave(s0, q_aux, q_last)
+        if check_mild(koch_presentation(s)).verdict == "mild":
+            assert validate_augmentation(s0, q_aux, q_last).ok
+            return AugmentationResult(s0, q_aux, q_last, s, attempts)
+    raise BoundExceededError(f"no mild augmentation of seed {s0} with auxiliary primes <= {bound}")
+
+
+def outcome(search, seed, bound):
+    try:
+        return search(seed, bound)
+    except BoundExceededError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("bound", [20, 50, 200, 1000, 3000])
+@pytest.mark.parametrize("seed", [(13, 3), (41,), (859,), (239, 19, 113), (101, 227, 43), (7, 11, 53, 157)])
+def test_augment_matches_the_search_loop(seed, bound):
+    assert outcome(augment, seed, bound) == outcome(reference_augment, seed, bound)
+
+
+def test_first_candidate_tuples_pass_the_rank_criterion_on_the_parity_split():
+    # the theorem next to augment, on seeded random seeds of 1-8 primes below 3000
+    primes = [p for p in range(3, 3000, 2) if is_prime(p)]
+    rng = random.Random(11)
+    for _ in range(80):
+        s0 = normalize_seed(rng.sample(primes, rng.randint(1, 8)))
+        tuples = list(itertools.islice(_candidate_tuples(s0, 10**6), 3))
+        assert len(tuples) == 3
+        for q_aux, q_last in tuples:
+            pres = eliminate_generator(koch_presentation(interleave(s0, q_aux, q_last)))
+            assert pres.d == 2 * len(s0)
+            assert rank_criterion(pres.relators, parity_partition(pres.d)), (s0, q_aux, q_last)
+
+
+def test_augment_asserts_its_certificate(monkeypatch):
+    from mild2 import mildness
+
+    report = check_mild(koch_presentation((5, 13, 41, 3, 23)))
+    monkeypatch.setattr(mildness, "check_mild", lambda pres: replace(report, verdict="not_shown"))
+    with pytest.raises(AssertionError, match=r"candidate \(5, 13, 41, 3, 23\) is not certified mild"):
+        augment((13, 3))
 
 
 def test_augment_json_shape():

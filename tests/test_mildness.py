@@ -192,9 +192,12 @@ def test_find_mild_partition_none_and_empty():
 
 
 def test_find_mild_partition_guard():
-    rels = cycle_relators(MAX_ENUMERATION_D + 2)
+    # the limit guards the enumeration only: a passing parity split is returned at any d
+    d = MAX_ENUMERATION_D + 2
+    assert find_mild_partition(cycle_relators(d)) == parity_partition(d)
+    # a square on every letter fails the parity split, so the enumeration is reached
     with pytest.raises(BoundExceededError, match="limited to d <= 20"):
-        find_mild_partition(rels)
+        find_mild_partition(cycle_relators(d, a=(1,) * d))
 
 
 def test_check_mild_verdicts():
