@@ -15,24 +15,7 @@ search up to the oracle's quotient slices with tens of thousands of columns.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-
-
-def pack_rows(rows: Iterable[Iterable[int]], n_cols: int) -> Iterator[int]:
-    """Yield each row, given as an iterable of set-column indices, as an int.
-
-    Repeated column indices within one row toggle (GF(2) semantics).  Rows
-    are read and packed lazily, as the consumer asks for them.
-    """
-    if n_cols < 0:
-        raise ValueError("n_cols must be nonnegative")
-    for cols in rows:
-        row = 0
-        for c in cols:
-            if not 0 <= c < n_cols:
-                raise IndexError(f"column {c} out of range 0..{n_cols - 1}")
-            row ^= 1 << c
-        yield row
+from collections.abc import Iterable
 
 
 def echelon(rows: Iterable[int]) -> dict[int, int]:
@@ -51,13 +34,8 @@ def echelon(rows: Iterable[int]) -> dict[int, int]:
 
 
 def rank(rows: Iterable[int]) -> int:
-    """GF(2) rank of int rows, as produced by pack_rows."""
+    """GF(2) rank of int rows, bit c of a row being column c."""
     return len(echelon(rows))
-
-
-def rank_of_rows(rows: Iterable[Iterable[int]], n_cols: int) -> int:
-    """GF(2) rank of rows given as iterables of set-column indices."""
-    return rank(pack_rows(rows, n_cols))
 
 
 def quotient_map(rows: Iterable[int], n_cols: int) -> tuple[list[int], int]:

@@ -17,12 +17,13 @@ where t is the eliminated index and c_j its substitution bits.
 
 A set of letters is one int, letter i at bit i (bit 0 unused).  Each
 QuadraticRelator derives, on first use, its masks: the square mask, with bit
-i set iff xi^2 occurs, and one (pair mask, column) entry per commutator
+i set iff xi^2 occurs, and one (pair mask, column bit) entry per commutator
 [xi, xj], i < j, in ascending order, whose pair mask has bits i and j and
-whose column (i - 1) * d + j - 1 is the commutator's place in a row of d * d
-columns.  The rank criterion reads a relator through them: for the letters
-S of a partition, squares & S is a square in S, pair & S == pair a
-commutator inside S, and any other nonzero pair & S a crossing commutator.
+whose column bit 1 << (i - 1) * d + j - 1 is the commutator's column in a
+GF(2) int row of d * d columns.  The rank criterion reads a relator through
+them: for the letters S of a partition, squares & S is a square in S,
+pair & S == pair a commutator inside S, and any other nonzero pair & S a
+crossing commutator, whose column bit goes into the relator's row.
 """
 
 from __future__ import annotations
@@ -78,14 +79,18 @@ class LinkingData:
         return "\n".join(lines)
 
 
+def _nonsquare(p: int, q: int) -> bool:
+    """Euler's criterion for distinct odd primes the caller has validated, so
+    not legendre, which tests q again: p is a nonsquare mod q iff p^((q-1)/2) = -1."""
+    return pow(p, (q - 1) // 2, q) == q - 1
+
+
 def linking_data(primes) -> LinkingData:
     """Compute square classes and the linking matrix (diagonal fixed to 0)."""
     ps = ordered_prime_set(primes)
     a = tuple(1 if p % 4 == 3 else 0 for p in ps)
-    # Euler's criterion on primes validated once above: they are distinct, so
-    # q never divides p, and p is a nonsquare mod q iff p^((q-1)/2) = -1.
     ell = tuple(
-        tuple(0 if i == j else int(pow(p, (q - 1) // 2, q) == q - 1) for j, q in enumerate(ps))
+        tuple(0 if i == j else int(_nonsquare(p, q)) for j, q in enumerate(ps))
         for i, p in enumerate(ps)
     )
     return LinkingData(ps, a, ell)
@@ -132,10 +137,10 @@ class QuadraticRelator:
 
     @cached_property
     def masks(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """(square mask, ((pair mask, column), ...)), laid out as the module
+        """(square mask, ((pair mask, column bit), ...)), laid out as the module
         docstring says; kept out of ==, hash and repr, which read fields only."""
         squares = sum(1 << i for i, b in enumerate(self.squares, 1) if b)
-        pairs = tuple((1 << i | 1 << j, (i - 1) * self.d + j - 1) for i, j in sorted(self.comms))
+        pairs = tuple((1 << i | 1 << j, 1 << (i - 1) * self.d + j - 1) for i, j in sorted(self.comms))
         return squares, pairs
 
     def comm_partners(self, i: int) -> list[int]:
@@ -382,8 +387,9 @@ def _relator_one_vanishes(s0, q1: int) -> bool:
     """Eliminating x_last (c_j = a_j; l_(1,last) = 1 by q_last's condition and
     reciprocity) leaves relator 1 = sum_j (l_1j + a_j)[x1, xj], where (a) gives
     l_1j = a_j = 0 on the auxiliary primes: it is zero, and every completion
-    inapplicable, iff q'_1 = q1 is a nonsquare mod exactly the seed primes = 3 (mod 4)."""
-    return all((legendre(q1, p) == -1) == (p % 4 == 3) for p in s0)
+    inapplicable, iff q'_1 = q1 is a nonsquare mod exactly the seed primes = 3 (mod 4).
+    A q1 in s0 is not a nonsquare mod itself, as with legendre's 0."""
+    return all(_nonsquare(q1, p) == (p % 4 == 3) for p in s0)
 
 
 @dataclass(frozen=True)
@@ -487,16 +493,16 @@ def _candidate_tuples(s0, bound: int):
         avoid = set(s0) | set(chosen)
         if i == len(s0):
             for q in _primes_in_class(3, avoid, bound):
-                if legendre(q, chosen[0]) == -1 and all(legendre(q, qp) == 1 for qp in chosen[1:]):
+                if _nonsquare(q, chosen[0]) and not any(_nonsquare(q, qp) for qp in chosen[1:]):
                     yield chosen, q
             return
         for q in _primes_in_class(1, avoid, bound):
             # (b) mod s0[i - 1] (q_m when i = 0) and mod s0[i] (i >= 1); (a) needs
             # one symbol per pair, both primes being 1 (mod 4): reciprocity.
             if (
-                legendre(q, s0[i - 1]) == -1
-                and (i == 0 or legendre(q, s0[i]) == -1)
-                and all(legendre(q, prev) == 1 for prev in chosen)
+                _nonsquare(q, s0[i - 1])
+                and (i == 0 or _nonsquare(q, s0[i]))
+                and not any(_nonsquare(q, prev) for prev in chosen)
                 and not (i == 0 and _relator_one_vanishes(s0, q))  # the prune
             ):
                 yield from slots(chosen + (q,))

@@ -68,7 +68,8 @@ def rank_criterion(relators, part: Partition) -> bool:
 
     S is read as one int of letter bits and each relator through its masks
     (see mild2.linking): a square in S or a commutator inside S fails the
-    partition, and the crossing commutators make the relator's row."""
+    partition, and the column bits of the crossing commutators make the
+    relator's int row."""
     relators = tuple(relators)
     if not relators:
         return True
@@ -90,15 +91,15 @@ def rank_criterion(relators, part: Partition) -> bool:
         squares, pairs = rel.masks
         if squares & s:
             return False
-        row = []
+        row = 0
         for pair, col in pairs:
             inside = pair & s
             if inside == pair:
                 return False
             if inside:
-                row.append(col)
+                row |= col
         rows.append(row)
-    return gf2.rank_of_rows(rows, d * d) == len(relators)
+    return len(gf2.echelon(rows)) == len(relators)
 
 
 def circuit_criterion(relators) -> bool | None:

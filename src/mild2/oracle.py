@@ -48,7 +48,7 @@ from itertools import accumulate
 
 from . import gf2
 from .quadlie import F2, F2PI, relator_to_poly, unit_alphabet
-from .series import DimensionSequence, WeightSignature, gamma_series, strongly_free_series
+from .series import DimensionSequence, WeightSignature, check_series_size, gamma_series, strongly_free_series
 
 
 DEFAULT_MEMORY_CAP_MIB = 1024
@@ -139,13 +139,17 @@ def _guard(n: int, estimate: int, memory_cap_mib: int) -> None:
         )
 
 
-def _anick_floor(d: int, m: int, n_max: int) -> list[int]:
-    """Anick's lower bound on dim Q_0..dim Q_n_max: the coefficients of
-    1 / (1 - d*t + m*t^2) up to the first nonpositive one, 0 from there on."""
-    floor = [1, d]
-    while len(floor) <= n_max:
-        floor.append(max(d * floor[-1] - m * floor[-2], 0) if floor[-1] else 0)
-    return floor[: n_max + 1]
+def _anick_floor(d: int, m: int, n_max: int):
+    """Anick's lower bound on dim Q_0..dim Q_n_max, one degree at a time (not
+    series.expand_rational, which is eager and bounded): the coefficients c_n
+    of 1 / (1 - d*t + m*t^2) up to the first nonpositive one, 0 from there on.
+    Once they stop rising they never rise again: with real roots r1 >= r2 >= 0,
+    c_(n+1) = r1 * c_n + r2^(n+1) rises unless d = 1 (then r1 = 1, r2 = 0);
+    with complex roots c_(n+1) / c_n falls until a coefficient is nonpositive."""
+    before, floor = 0, 1
+    for _ in range(n_max + 1):
+        yield floor
+        before, floor = floor, max(d * floor - m * before, 0)
 
 
 def _relator_rows(words, table, dims, n: int):
@@ -184,7 +188,8 @@ def quotient_dims(
     is the running sum of the F2 one.  What a degree holds is bounded before
     its rows are built, and crossing memory_cap_mib raises MemoryGuardError;
     the bound is first taken on Anick's floor for every degree, so a request
-    it already refuses builds nothing.
+    it already refuses builds nothing, and so does an n_max whose profile
+    fails series.check_series_size (BoundExceededError).
     An F2 dimension below Anick's lower bound for d letters and m relators
     is an oracle fault and raises RuntimeError.
     """
@@ -194,12 +199,22 @@ def quotient_dims(
     _check_relators(unit_alphabet(d), relators, ring)
     words = [[word for _, word in rel.terms] for rel in relators]
     m = len(relators)
-    floor = _anick_floor(d, m, n_max)
     # The estimates grow with the dimensions, and no dimension is below the
     # floor: a degree refused on the floor is refused before any row is built.
-    for n in range(1, n_max + 1):
+    # Degree n reads the floor at n - 1 and n - 2; once it has not risen from
+    # n - 3 to n - 2 it never rises again, so no later degree is estimated
+    # above degree n - 1, and the floor is read no further.
+    floors = _anick_floor(d, m, n_max)
+    floor = [next(floors)]
+    for n, bound in enumerate(floors, 1):
+        if n > 2 and floor[n - 2] <= floor[n - 3]:
+            break
         prev_cols = d * floor[n - 2] if n > 1 else 0
         _guard(n, _degree_bytes(d * floor[n - 1], prev_cols, n == n_max), memory_cap_mib)
+        floor.append(bound)
+    # a floor that reaches 0 refuses no degree; this bounds n_max all the same
+    check_series_size(d + m, 2, n_max)
+    floor = list(_anick_floor(d, m, n_max))
     dims = [1]
     table: list[int] = []
     for n in range(1, n_max + 1):
@@ -232,26 +247,19 @@ def independent_in_degree(polys) -> int:
     Zero polynomials contribute zero rows; any two nonzero inputs must agree
     in degree (and algebra), otherwise a degree mismatch is raised.
     """
-    polys = tuple(polys)
     nonzero = [p for p in polys if not p.is_zero]
-    if not nonzero:
-        return 0
-    first = nonzero[0]
     degs = set()
     for p in nonzero:
-        if p.alphabet != first.alphabet or p.ring != first.ring:
+        if p.alphabet != nonzero[0].alphabet or p.ring != nonzero[0].ring:
             raise ValueError("polynomials live in different algebras")
         if not p.is_homogeneous:
             raise ValueError("independence check needs homogeneous polynomials")
         degs.add(p.degree())
-    if len(degs) != 1:
+    if len(degs) > 1:
         raise ValueError(f"degree mismatch: {sorted(degs)}")
-    support = sorted(
-        set().union(*(p.terms for p in nonzero)), key=lambda mono: (mono[0], mono[1])
-    )
-    index = {mono: col for col, mono in enumerate(support)}
-    rows = [[index[mono] for mono in p.terms] for p in polys]
-    return gf2.rank_of_rows(rows, len(support))
+    # one column bit per monomial; the rank does not depend on their order
+    bit = {mono: 1 << col for col, mono in enumerate(set().union(*(p.terms for p in nonzero)))}
+    return gf2.rank(sum(bit[mono] for mono in p.terms) for p in nonzero)
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,10 @@ class WeightedAlphabet:
     weights: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+        object.__setattr__(self, "weights", tuple(self.weights))
+        # type() rather than int(): 1.7 must not pass as 1, nor True as 1
+        if any(type(w) is not int for w in self.weights):
+            raise ValueError(f"letter weights must be integers, got {self.weights}")
         if not self.weights:
             raise ValueError("an alphabet needs at least one letter")
         if any(w < 1 for w in self.weights):
@@ -405,8 +408,8 @@ def elimination_basis(
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    sig = sorted(set(int(i) for i in sigma))
-    if any(not 1 <= i <= alphabet.d for i in sig):
+    sig = sorted(set(sigma))  # type() on every entry: the set merges 1.0 and True into 1
+    if any(type(i) is not int for i in sigma) or any(not 1 <= i <= alphabet.d for i in sig):
         raise ValueError(f"sigma {tuple(sig)} is not a subset of the alphabet 1..{alphabet.d}")
     rest = [i for i in range(1, alphabet.d + 1) if i not in sig]
     if not rest:

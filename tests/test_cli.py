@@ -87,19 +87,22 @@ def test_check_mild_exit_codes_and_json():
     assert json.loads(out)["verdict"] == "inapplicable"
 
 
+# criterion 5's negative control {x1^2, [x1,x2]}
+CONTROL = {
+    "a": [1, 0],
+    "ell": [[0, 1], [1, 0]],
+    "relators": [
+        {"owner": 1, "square": 1, "comms": []},
+        {"owner": 2, "square": 0, "comms": [[1, 2]]},
+    ],
+    "product_relation": None,
+    "primes": None,
+}
+
+
 def test_check_mild_not_shown_exit_code(tmp_path):
-    blob = {
-        "a": [1, 0],
-        "ell": [[0, 1], [1, 0]],
-        "relators": [
-            {"owner": 1, "square": 1, "comms": []},
-            {"owner": 2, "square": 0, "comms": [[1, 2]]},
-        ],
-        "product_relation": None,
-        "primes": None,
-    }
     path = tmp_path / "control.json"
-    path.write_text(json.dumps(blob))
+    path.write_text(json.dumps(CONTROL))
     code, out = run(["check-mild", "--in", str(path)])
     assert code == 3
     assert json.loads(out)["verdict"] == "not_shown"
@@ -219,6 +222,22 @@ def test_partition_search_limit_exits_5():
     assert (code, err) == (5, "error: exhaustive partition search is limited to d <= 20")
 
 
+def run_capped(argv):
+    """Run the CLI in a child process capped at 1 GiB of address space, so a
+    missing guard fails instead of swapping; returns it and its seconds."""
+    src = str(Path(mild2.__file__).resolve().parents[1])
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "mild2.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+    )
+    return proc, time.perf_counter() - started
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -230,20 +249,28 @@ def test_partition_search_limit_exits_5():
     ],
 )
 def test_series_size_guard_stops_before_allocating(argv):
-    # a child process capped at 1 GiB of address space, so a missing guard fails instead of swapping
-    src = str(Path(mild2.__file__).resolve().parents[1])
-    started = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "mild2.cli", *argv],
-        capture_output=True,
-        text=True,
-        timeout=10,
-        env={**os.environ, "PYTHONPATH": src},
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
-    )
-    assert time.perf_counter() - started < 1
+    proc, seconds = run_capped(argv)
+    assert seconds < 1
     assert proc.returncode == 5
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.rstrip().endswith("would hold more than 32 MiB")
+
+
+@pytest.mark.parametrize("degree", [10**20, 2**64 - 1])
+@pytest.mark.parametrize("flag", [["oracle", "--max"], ["check-mild", "--oracle-depth"]])
+@pytest.mark.parametrize("source", ["ex1", "control"])
+def test_oracle_size_flags_end_in_a_clean_exit(tmp_path, degree, flag, source):
+    # worked example 1 is refused on Anick's floor; the control's floor reaches
+    # 0, so it is refused on the size of its dimension series
+    if source == "ex1":
+        given = ["--primes", EX1]
+    else:
+        path = tmp_path / "control.json"
+        path.write_text(json.dumps(CONTROL))
+        given = ["--in", str(path)]
+    proc, seconds = run_capped([flag[0], *given, flag[1], str(degree)])
+    assert seconds < 3
+    assert proc.returncode in (0, 2, 5), proc.stderr
+    assert proc.stderr.count("error:") <= 1
 
 
 def test_series_and_dims_text():

@@ -28,7 +28,15 @@ from mild2.linking import (
     validate_augmentation,
 )
 from mild2.mildness import check_mild, parity_partition, rank_criterion
-from mild2.quadlie import F2, NcPoly, mul, relator_to_poly, unit_alphabet
+from mild2.quadlie import (
+    F2,
+    NcPoly,
+    WeightedAlphabet,
+    elimination_basis,
+    mul,
+    relator_to_poly,
+    unit_alphabet,
+)
 from mild2.series import WeightSignature
 
 EX1 = (41, 13, 5, 3, 19)
@@ -68,6 +76,10 @@ def test_ordered_prime_set_validation():
         (WeightSignature, ((1.5, 1),)),
         (WeightSignature, ((1, 1), (2.0,))),
         (WeightSignature, ((True,),)),
+        (WeightedAlphabet, ((1.7, 1),)),
+        (WeightedAlphabet, ((1, True),)),
+        (elimination_basis, (WeightedAlphabet((1, 1, 1)), (1.9,), 3)),
+        (elimination_basis, (WeightedAlphabet((1, 1, 1)), (2, 2.0), 3)),
     ],
 )
 def test_non_integer_input_is_refused_not_truncated(build, args):
@@ -163,8 +175,8 @@ def test_quadratic_relator_normalization():
 
 def test_relator_masks_follow_the_documented_layout():
     rel = QuadraticRelator(4, (0, 1, 0, 1), {(1, 2), (3, 4), (2, 3)}, owner=2)
-    # bit i is letter i; a pair's column is (i - 1) * d + j - 1
-    assert rel.masks == (0b10100, ((0b00110, 1), (0b01100, 6), (0b11000, 11)))
+    # bit i is letter i; a pair's column bit is 1 << (i - 1) * d + j - 1
+    assert rel.masks == (0b10100, ((0b00110, 1 << 1), (0b01100, 1 << 6), (0b11000, 1 << 11)))
     assert QuadraticRelator(3, (0, 0, 0), ()).masks == (0, ())
 
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from mild2 import gf2, mildness
+from mild2 import mildness
 from mild2.arith import BoundExceededError, is_prime
 from mild2.linking import Presentation, QuadraticRelator, koch_presentation
 from mild2.mildness import (
@@ -268,6 +268,19 @@ def test_circuit_implies_rank_at_parity():
             assert rank_criterion(rels, parity_partition(d)), rels
 
 
+def dense_rank(rows):
+    """GF(2) rank of 0/1 lists by Gaussian elimination, independent of mild2.gf2."""
+    rows, rank = [list(row) for row in rows], 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in rows if r[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows = [[a ^ b for a, b in zip(r, pivot)] if r[col] else r for r in rows]
+        rank += 1
+    return rank
+
+
 def rank_criterion_reference(relators, part):
     """The rank criterion on an explicit basis: one column per pair of S x Sp."""
     s_set = set(part.S)
@@ -276,12 +289,11 @@ def rank_criterion_reference(relators, part):
             return False
         if any(i in s_set and j in s_set for i, j in rel.comms):
             return False
-    basis = {(i, j): col for col, (i, j) in enumerate(itertools.product(part.S, part.Sp))}
     rows = [
-        [basis[(i, j)] for i in part.S for j in part.Sp if (min(i, j), max(i, j)) in rel.comms]
+        [int((min(i, j), max(i, j)) in rel.comms) for i in part.S for j in part.Sp]
         for rel in relators
     ]
-    return gf2.rank_of_rows(rows, len(basis)) == len(relators)
+    return dense_rank(rows) == len(relators)
 
 
 def all_partitions(d):
