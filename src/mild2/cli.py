@@ -4,7 +4,8 @@ Subcommands: linking, present, reduce, check-mild, augment, series, dims,
 oracle, basis, selftest.  Exit codes: 0 success (and mild verdicts),
 2 input errors, 3 not_shown, 4 inapplicable, 5 resource-guard stops
 (memory cap, exhausted augmentation bound, partition search limit once the
-parity split fails, basis word limit, series size limit), 70 an unexpected
+parity split fails, basis word limit, series size limit) and an allocation
+that fails before a guard stops the request, 70 an unexpected
 internal error (one "error: internal:" line); the oracle subcommand exits 1
 on a dimension mismatch.
 """
@@ -318,6 +319,9 @@ def main(argv=None) -> int:
         return 2
     except (BoundExceededError, MemoryGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 5
+    except MemoryError:  # a cap above what the process can get lets an allocation fail first
+        print("error: out of memory before a resource guard stopped the request", file=sys.stderr)
         return 5
     except Exception as exc:  # a fault in mild2 itself; 1 would read as an oracle mismatch
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -6,11 +6,14 @@ table of pivot rows keyed by their highest set bit: every incoming row is
 reduced until it is zero or its top bit starts a new pivot.  Rows are
 consumed one at a time, so only the pivot table stays in memory; echelon
 returns that table, and a caller that needs only a rank or a dimension stops
-there (the oracle ranks its last degree this way).  Back substitution turns
-the table into the fully reduced echelon form, from which quotient_map reads
-the normal form of every column modulo the row span.  One engine serves
-every caller in the package, from the 4x4 toy matrices of the partition
-search up to the oracle's quotient slices with tens of thousands of columns.
+there (the oracle ranks its last degree this way).  quotient_map reads the
+normal form of every column modulo the row span from that table in one
+ascending pass: each pivot row is split into its non-pivot bits, shifted
+down a run of non-pivot columns at a time, and its lower pivot bits, whose
+images the pass has already computed; the rows are never fully reduced.
+One engine serves every caller in the package, from the 4x4 toy matrices of
+the partition search up to the oracle's quotient slices with tens of
+thousands of columns.
 """
 
 from __future__ import annotations
@@ -43,40 +46,34 @@ def quotient_map(rows: Iterable[int], n_cols: int) -> tuple[list[int], int]:
 
     Returns the image of each unit vector e_0..e_{n_cols-1} and the
     quotient's dimension q.  The basis of the quotient is the non-pivot
-    columns of the fully reduced echelon form in increasing order, so a
-    non-pivot column maps to one bit and a pivot column to the non-pivot
-    bits of its row.  Image c has at most c + 1 bits.
+    columns of the echelon form in increasing order, so a non-pivot column
+    maps to one bit.  The row of pivot column c lies in the span and has c as
+    its top bit, so pi(e_c) is the sum of pi(e_b) over its lower bits b: its
+    non-pivot bits, moved down to their quotient indices one run of
+    consecutive non-pivot columns at a time, plus the images of its pivot
+    bits, which the ascending pass has already computed.  Image c has at
+    most c + 1 bits.
     """
     pivots = echelon(rows)
-    mask = 0
+    runs: list[tuple[int, int, int]] = []  # (first column, ones, quotient index)
+    images: list[int] = []
+    lower_pivots = q = col = 0
     for top in sorted(pivots):
-        # Back substitution in ascending order: every lower pivot row already
-        # holds only non-pivot bits once its own pivot bit is dropped.
-        row = pivots[top]
-        bits = row & mask
-        row ^= bits | 1 << top
+        if top > col:  # columns col..top-1 are a run of non-pivot columns
+            runs.append((col, (1 << top - col) - 1, q))
+            images.extend(1 << i for i in range(q, q + top - col))
+            q += top - col
+        row = pivots.pop(top)
+        image = 0
+        for first, ones, at in runs:
+            image |= (row >> first & ones) << at
+        bits = row & lower_pivots
         while bits:
             low = bits.bit_length() - 1
-            row ^= pivots[low]
+            image ^= images[low]
             bits ^= 1 << low
-        pivots[top] = row
-        mask |= 1 << top
-    # Spell each image with column n_cols - 1 first and keep the runs of
-    # non-pivot columns; the pivot columns of a quotient slice fall in few runs.
-    keep, end = [], n_cols
-    for top in sorted(pivots, reverse=True):
-        if top + 1 < end:
-            keep.append(slice(n_cols - end, n_cols - 1 - top))
-        end = top
-    if end:
-        keep.append(slice(n_cols - end, n_cols))
-    images, q = [], 0
-    for c in range(n_cols):
-        row = pivots.pop(c, None)
-        if row is None:
-            images.append(1 << q)
-            q += 1
-        else:
-            spelled = f"{row:0{n_cols}b}"
-            images.append(int("".join([spelled[run] for run in keep]) or "0", 2))
-    return images, q
+        images.append(image)
+        lower_pivots |= 1 << top
+        col = top + 1
+    images.extend(1 << i for i in range(q, q + n_cols - col))
+    return images, q + n_cols - col

@@ -18,12 +18,13 @@ rows q' * rho for every relator and every normal word q' of degree n - 2:
 m * dim Q_{n-2} rows over d * dim Q_{n-1} columns, where the ideal slice
 itself has about m * n * d^(n-2) rows over d^n.  Column (a, q) sits at
 (a - 1) * dim Q_{n-1} + index(q), so appending a letter to a vector over
-Q_{n-1} is one shift.  Each degree's fully reduced echelon form gives a table
-holding the normal form of every column; its non-pivot columns are the normal
-words of Q_n.  A relator term x_a * x_b then costs one lookup in the table of
-degree n - 1 and one shift, so only that one table is held.  No degree reads
-the table of the last one, so the last degree is ranked, not mapped: forward
-elimination alone gives its dimension.
+Q_{n-1} is one shift.  Each degree's echelon form gives a table holding the
+normal form of every column, read off in one ascending pass
+(gf2.quotient_map); the non-pivot columns are the normal words of Q_n.  A
+relator term x_a * x_b then costs one lookup in the table of degree n - 1 and
+one shift, so only that one table is held.  No degree reads the table of the
+last one, so the last degree is ranked, not mapped: forward elimination alone
+gives its dimension.
 
 The recursion also bounds each dimension from below: the rows of degree n
 are m * dim Q_{n-2}, so dim Q_n >= d * dim Q_{n-1} - m * dim Q_{n-2}, and
@@ -159,10 +160,12 @@ def _relator_rows(words, table, dims, n: int):
         return  # no relator fits in degree 1
     below, width = dims[n - 2], dims[n - 1]
     for terms in words:
+        # term x_a * x_b reads entry (a - 1) * below + i and shifts it to letter b
+        shifts = [((a - 1) * below, (b - 1) * width) for a, b in terms]
         for i in range(below):
             row = 0
-            for a, b in terms:
-                row ^= table[(a - 1) * below + i] << (b - 1) * width
+            for at, shift in shifts:
+                row ^= table[at + i] << shift
             yield row
 
 

@@ -110,6 +110,9 @@ class NcPoly:
             raise ValueError(f"ring must be one of {RINGS}, got {self.ring!r}")
         object.__setattr__(self, "terms", frozenset(self.terms))
         for k, word in self.terms:
+            # type() rather than int(), as for letter weights: 1.5 must not pass as 1
+            if type(k) is not int or any(type(i) is not int for i in word):
+                raise ValueError(f"pi exponents and letters must be integers, got {(k, word)}")
             if k < 0 or (k > 0 and self.ring == F2):
                 raise ValueError(f"bad pi exponent {k} for ring {self.ring}")
             self.alphabet.word_weight(word)  # validates letter indices via weight lookup
@@ -128,7 +131,7 @@ class NcPoly:
         """Build a polynomial from (pi_exp, word) pairs, XOR-folding repeats."""
         acc: set[Monomial] = set()
         for k, word in monomials:
-            acc.symmetric_difference_update({(int(k), tuple(word))})
+            acc.symmetric_difference_update({(k, tuple(word))})
         return cls(alphabet, ring, frozenset(acc))
 
     @property

@@ -222,9 +222,10 @@ def test_partition_search_limit_exits_5():
     assert (code, err) == (5, "error: exhaustive partition search is limited to d <= 20")
 
 
-def run_capped(argv):
-    """Run the CLI in a child process capped at 1 GiB of address space, so a
-    missing guard fails instead of swapping; returns it and its seconds."""
+def run_capped(argv, limit=2**30):
+    """Run the CLI in a child process capped at limit bytes (1 GiB) of address
+    space, so a missing guard fails instead of swapping; returns it and its
+    seconds."""
     src = str(Path(mild2.__file__).resolve().parents[1])
     started = time.perf_counter()
     proc = subprocess.run(
@@ -233,7 +234,7 @@ def run_capped(argv):
         text=True,
         timeout=10,
         env={**os.environ, "PYTHONPATH": src},
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
     return proc, time.perf_counter() - started
 
@@ -271,6 +272,16 @@ def test_oracle_size_flags_end_in_a_clean_exit(tmp_path, degree, flag, source):
     assert seconds < 3
     assert proc.returncode in (0, 2, 5), proc.stderr
     assert proc.stderr.count("error:") <= 1
+
+
+def test_an_allocation_that_fails_below_the_memory_cap_exits_5():
+    # the guard admits degree 12 under this cap, but 64 MiB of address space
+    # runs out near degree 10: the MemoryError is a resource stop, not a fault
+    argv = ["oracle", "--primes", EX1, "--max", "12", "--memory-cap-mib", "100000"]
+    proc, seconds = run_capped(argv, limit=64 * 2**20)
+    assert seconds < 10
+    assert proc.returncode == 5
+    assert proc.stderr == "error: out of memory before a resource guard stopped the request\n"
 
 
 def test_series_and_dims_text():

@@ -109,8 +109,8 @@ def test_quotient_dims_memory_guard():
 
 
 def test_pivot_table_estimate_covers_the_measured_peak():
-    polys = reduced_polys(EX1)
-    for n_max in (8, 9):  # degree 8 ranked, then mapped
+    for primes, n_max in itertools.product((EX1, EX2), (8, 9)):  # degree 8 ranked, then mapped
+        polys = reduced_polys(primes)
         tracemalloc.start()
         try:
             profile = quotient_dims(4, polys, n_max)
@@ -123,7 +123,7 @@ def test_pivot_table_estimate_covers_the_measured_peak():
             _degree_bytes(4 * dims[n - 1], 4 * dims[n - 2] if n > 1 else 0, n == n_max)
             for n in range(1, n_max + 1)
         )
-        assert estimate >= peak, n_max
+        assert estimate >= peak, (primes, n_max)
 
 
 def test_last_degree_is_ranked_not_mapped(monkeypatch):
@@ -150,6 +150,86 @@ def test_echelon_length_is_the_quotient_dimension():
         ]
         rows += rng.sample(rows, len(rows) // 4)  # dependent rows
         assert n_cols - len(gf2.echelon(rows)) == gf2.quotient_map(rows, n_cols)[1]
+
+
+def spelled_quotient_map(rows, n_cols):
+    """The former gf2.quotient_map, kept as the reference: back substitution
+    on full-width rows, then each image spelled as a binary string and its
+    non-pivot columns cut out."""
+    pivots = gf2.echelon(rows)
+    mask = 0
+    for top in sorted(pivots):
+        row = pivots[top]
+        bits = row & mask
+        row ^= bits | 1 << top
+        while bits:
+            low = bits.bit_length() - 1
+            row ^= pivots[low]
+            bits ^= 1 << low
+        pivots[top] = row
+        mask |= 1 << top
+    keep, end = [], n_cols
+    for top in sorted(pivots, reverse=True):
+        if top + 1 < end:
+            keep.append(slice(n_cols - end, n_cols - 1 - top))
+        end = top
+    if end:
+        keep.append(slice(n_cols - end, n_cols))
+    images, q = [], 0
+    for c in range(n_cols):
+        row = pivots.pop(c, None)
+        if row is None:
+            images.append(1 << q)
+            q += 1
+        else:
+            spelled = f"{row:0{n_cols}b}"
+            images.append(int("".join([spelled[run] for run in keep]) or "0", 2))
+    return images, q
+
+
+def random_sparse_matrices(rng):
+    """(rows, n_cols) pairs: sparse rows of one to four bits, with duplicates,
+    zero rows, no rows, no columns, and full-rank triangular matrices."""
+    yield [], 0
+    yield [0, 0], 0
+    yield [], 7
+    yield [0b101, 0b101, 0], 3
+    for _ in range(300):
+        n_cols = rng.randint(1, 160)
+        rows = [
+            sum(1 << c for c in rng.sample(range(n_cols), min(n_cols, rng.randint(1, 4))))
+            for _ in range(rng.randint(0, n_cols + 5))
+        ]
+        rows += rng.sample(rows, len(rows) // 3) + [0] * rng.randint(0, 2)
+        rng.shuffle(rows)
+        yield rows, n_cols
+    for _ in range(40):
+        n_cols = rng.randint(1, 120)
+        # column c's row has top bit c, so the rank is n_cols and q is 0
+        rows = [1 << c | rng.getrandbits(c) & rng.getrandbits(c) for c in range(n_cols)]
+        rng.shuffle(rows)
+        yield rows, n_cols
+
+
+def test_quotient_map_on_random_sparse_matrices():
+    rng = random.Random(2009)
+    full_rank = 0
+    for rows, n_cols in random_sparse_matrices(rng):
+        images, q = gf2.quotient_map(rows, n_cols)
+        assert (images, q) == spelled_quotient_map(rows, n_cols), (rows, n_cols)
+        pivots = gf2.echelon(rows)
+        assert len(images) == n_cols and q == n_cols - len(pivots)
+        free = [c for c in range(n_cols) if c not in pivots]
+        assert [images[c] for c in free] == [1 << k for k in range(q)]
+        assert all(images[c].bit_length() <= c + 1 for c in range(n_cols))
+        for row in rows:  # every row lies in the kernel of the projection
+            image = 0
+            for c in range(n_cols):
+                if row >> c & 1:
+                    image ^= images[c]
+            assert image == 0
+        full_rank += n_cols > 0 and q == 0
+    assert full_rank >= 40
 
 
 def numeral(word, d):

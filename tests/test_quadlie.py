@@ -69,6 +69,18 @@ def test_ncpoly_validation():
         NcPoly(X, F2, frozenset({(0, (4,))}))  # no such letter
 
 
+@pytest.mark.parametrize(
+    "mono",
+    [(1.5, (1,)), (1.0, (1,)), (True, (1,)), (0, (1.0,)), (0, (1, 2.5)), (0, (True,)), ("1", (1,))],
+)
+def test_ncpoly_refuses_non_integer_exponents_and_letters(mono):
+    # neither truncated (1.5 -> 1) nor passed on to fail later as a TypeError
+    with pytest.raises(ValueError, match="pi exponents and letters must be integers"):
+        NcPoly.from_monomials(X, F2PI, [mono])
+    with pytest.raises(ValueError, match="pi exponents and letters must be integers"):
+        NcPoly(X, F2PI, {mono})
+
+
 def test_addition_is_xor():
     x1, x2 = gen(1), gen(2)
     assert (x1 + x1).is_zero
