@@ -3,6 +3,10 @@
 Everything here is deterministic and exact; no probabilistic shortcuts are
 taken anywhere, because downstream certificates must never depend on a
 randomized primality answer.  Inputs are restricted to the 64-bit range.
+
+This leaf module also defines the defaults, ring names and guard errors that
+the command-line parser shares with the other modules: every CLI launch
+loads it, so the parser needs no other module to build its flags.
 """
 
 from __future__ import annotations
@@ -12,6 +16,16 @@ from collections.abc import Iterable
 
 MAX_INPUT = 2**64 - 1
 
+# augment's default upper bound on auxiliary primes
+DEFAULT_PRIME_BOUND = 10**6
+# the oracle's default memory cap
+DEFAULT_MEMORY_CAP_MIB = 1024
+
+# coefficient rings of the free algebras (quadlie) and of the oracle
+F2 = "F2"
+F2PI = "F2pi"
+RINGS = (F2, F2PI)
+
 # Strong-pseudoprime witnesses; this set is known to be exact for every
 # n < 3_317_044_064_679_887_385_961_981, which covers the full 64-bit range.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -19,6 +33,10 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 class BoundExceededError(RuntimeError):
     """A bounded search ran out of room before finding its target."""
+
+
+class MemoryGuardError(MemoryError):
+    """The estimated memory of a degree exceeds the configured cap."""
 
 
 def _check_range(n: int, name: str = "n") -> None:

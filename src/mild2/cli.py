@@ -8,37 +8,21 @@ parity split fails, basis word limit, series size limit) and an allocation
 that fails before a guard stops the request, 70 an unexpected
 internal error (one "error: internal:" line); the oracle subcommand exits 1
 on a dimension mismatch.
+
+A launch loads only what its subcommand runs.  The parser needs arith alone
+(defaults, ring names, guard errors), and each handler imports its own
+modules: series and dims load series; linking, present and reduce load
+linking; check-mild and augment add mildness and gf2; oracle, basis and
+check-mild --oracle-depth load quadlie (oracle also oracle and series);
+selftest loads everything.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .arith import BoundExceededError
-from .linking import (
-    DEFAULT_PRIME_BOUND,
-    NoEliminableGeneratorError,
-    Presentation,
-    augment,
-    eliminate_generator,
-    koch_presentation,
-    linking_data,
-)
-from .mildness import check_mild
-from .oracle import DEFAULT_MEMORY_CAP_MIB, MemoryGuardError, strongly_free_oracle
-from .quadlie import RINGS, WeightedAlphabet, bracket_weight, elimination_basis, enumerate_y, render_bracket
-from .series import (
-    NonRealizableError,
-    WeightSignature,
-    check_series_size,
-    gamma_series,
-    lower_central_dims,
-    reduced_dims_bn,
-    strongly_free_series,
-    zassenhaus_dims,
-)
+from .arith import DEFAULT_MEMORY_CAP_MIB, DEFAULT_PRIME_BOUND, RINGS, BoundExceededError, MemoryGuardError
 
 _EXIT_BY_VERDICT = {"mild": 0, "not_shown": 3, "inapplicable": 4}
 _RINGS = {ring.lower(): ring for ring in RINGS}
@@ -66,35 +50,51 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
 
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
+        import json
+
         print(json.dumps(payload, indent=2))
     else:
         print(text)
 
 
-def _load_presentation(args) -> Presentation:
+def _load_presentation(args):
+    import json
+
+    from .linking import Presentation, koch_presentation
+
     if args.infile is not None and args.primes is not None:
         raise ValueError("give --primes or --in FILE, not both")
     if args.infile:
         with open(args.infile, "r", encoding="utf-8") as handle:
-            return Presentation.from_json_dict(json.load(handle))
+            try:
+                data = json.load(handle)
+            except RecursionError:
+                raise ValueError(f"{args.infile}: JSON nested too deeply") from None
+        return Presentation.from_json_dict(data)
     if not args.primes:
         raise ValueError("provide --primes or --in FILE")
     return koch_presentation(_parse_ints(args.primes, "--primes"))
 
 
 def _cmd_linking(args) -> int:
+    from .linking import linking_data
+
     data = linking_data(_parse_ints(args.primes, "--primes"))
     _emit(args, data.to_json_dict(), data.text())
     return 0
 
 
 def _cmd_present(args) -> int:
+    from .linking import koch_presentation
+
     pres = koch_presentation(_parse_ints(args.primes, "--primes"))
     _emit(args, pres.to_json_dict(), pres.text())
     return 0
 
 
 def _cmd_reduce(args) -> int:
+    from .linking import eliminate_generator
+
     pres = _load_presentation(args)
     reduced = eliminate_generator(pres, args.t)
     _emit(args, reduced.to_json_dict(), reduced.text())
@@ -102,6 +102,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_check_mild(args) -> int:
+    from .mildness import check_mild
+
     pres = _load_presentation(args)
     report = check_mild(
         pres,
@@ -114,6 +116,8 @@ def _cmd_check_mild(args) -> int:
 
 
 def _cmd_augment(args) -> int:
+    from .linking import augment
+
     result = augment(_parse_ints(args.seed, "--seed"), args.bound)
     lines = [
         f"seed (normalized) = {result.seed}",
@@ -126,7 +130,9 @@ def _cmd_augment(args) -> int:
     return 0
 
 
-def _signature_from(args) -> WeightSignature:
+def _signature_from(args):
+    from .series import WeightSignature, check_series_size
+
     if (args.e is not None or args.h is not None) and (args.d is not None or args.m is not None):
         raise ValueError("give --e/--h or --d/--m, not both")
     if args.e is not None:
@@ -142,6 +148,8 @@ def _signature_from(args) -> WeightSignature:
 
 
 def _cmd_series(args) -> int:
+    from .series import gamma_series, strongly_free_series
+
     sig = _signature_from(args)
     fn = strongly_free_series if args.kind == "strongly-free" else gamma_series
     series = fn(sig, args.max)
@@ -152,6 +160,8 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_dims(args) -> int:
+    from .series import NonRealizableError, lower_central_dims, reduced_dims_bn, zassenhaus_dims
+
     try:
         if args.kind == "zassenhaus":
             if args.d is None:
@@ -184,6 +194,9 @@ def _cmd_dims(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .linking import eliminate_generator
+    from .oracle import strongly_free_oracle
+
     pres = _load_presentation(args)
     if pres.product_relation is not None and any(pres.product_relation):
         pres = eliminate_generator(pres)
@@ -205,6 +218,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_basis(args) -> int:
+    from .quadlie import WeightedAlphabet, bracket_weight, elimination_basis, enumerate_y, render_bracket
+
     alphabet = WeightedAlphabet(_parse_ints(args.weights, "--weights"))
     if args.kind == "y":
         words = enumerate_y(alphabet, args.max)
@@ -314,7 +329,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, NoEliminableGeneratorError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # NoEliminableGeneratorError and JSONDecodeError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (BoundExceededError, MemoryGuardError) as exc:

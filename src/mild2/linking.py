@@ -32,10 +32,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .arith import BoundExceededError, check_odd_prime, legendre, next_prime_in_class
-
-
-DEFAULT_PRIME_BOUND = 10**6
+from .arith import DEFAULT_PRIME_BOUND, BoundExceededError, check_odd_prime, legendre, next_prime_in_class
 
 
 class NoEliminableGeneratorError(ValueError):

@@ -24,10 +24,8 @@ import itertools
 from dataclasses import dataclass
 
 from . import gf2
-from .arith import BoundExceededError
+from .arith import DEFAULT_MEMORY_CAP_MIB, F2, BoundExceededError
 from .linking import Presentation, QuadraticRelator, eliminate_generator
-from .oracle import DEFAULT_MEMORY_CAP_MIB, strongly_free_oracle
-from .quadlie import F2
 
 MAX_ENUMERATION_D = 20
 
@@ -240,6 +238,8 @@ def check_mild(
             notes.append("oracle skipped: no usable quadratic relators")
             oracle_depth = None
         else:
+            from .oracle import strongly_free_oracle  # loaded only when the oracle runs
+
             cmp = strongly_free_oracle(
                 relators, oracle_depth, ring=oracle_ring, memory_cap_mib=memory_cap_mib
             )

@@ -48,15 +48,9 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from . import gf2
-from .quadlie import F2, F2PI, relator_to_poly, unit_alphabet
+from .arith import DEFAULT_MEMORY_CAP_MIB, F2, F2PI, MemoryGuardError
+from .quadlie import relator_to_poly, unit_alphabet
 from .series import DimensionSequence, WeightSignature, check_series_size, gamma_series, strongly_free_series
-
-
-DEFAULT_MEMORY_CAP_MIB = 1024
-
-
-class MemoryGuardError(MemoryError):
-    """The estimated memory of a degree exceeds the configured cap."""
 
 
 @dataclass(frozen=True)

@@ -28,11 +28,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Union
 
-from .arith import BoundExceededError
-
-F2 = "F2"
-F2PI = "F2pi"
-RINGS = (F2, F2PI)
+from .arith import F2, F2PI, RINGS, BoundExceededError
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,15 @@ class NonRealizableError(ArithmeticError):
         self.reason = reason
 
 
+def _int_tuple(values, what: str) -> tuple[int, ...]:
+    out = tuple(values)
+    for v in out:
+        # type() rather than int(): 1.7 must not pass as 1, '3' as 3, nor True as 1
+        if type(v) is not int:
+            raise ValueError(f"{what} must be integers, got {v!r}")
+    return out
+
+
 @dataclass(frozen=True)
 class WeightSignature:
     """Generator weights e (each >= 1) and relator weights h (each >= 2)."""
@@ -82,7 +91,7 @@ class IntSeries:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", _int_tuple(self.coeffs, "series coefficients"))
         if not self.coeffs:
             raise ValueError("a series carries at least its constant term")
 
@@ -104,7 +113,7 @@ class DimensionSequence:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        object.__setattr__(self, "values", _int_tuple(self.values, "dimensions"))
 
     def pairs(self) -> list[tuple[int, int]]:
         return [(self.start + k, v) for k, v in enumerate(self.values)]
@@ -158,8 +167,8 @@ def expand_rational(numerator, denominator, n_max: int) -> IntSeries:
     coefficient an integer; c_n = num_n - sum_{k>=1} den_k * c_{n-k}.
     """
     _check_n_max(n_max)
-    num = [int(c) for c in numerator]
-    den = [int(c) for c in denominator]
+    num = _int_tuple(numerator, "numerator coefficients")
+    den = _int_tuple(denominator, "denominator coefficients")
     if not den or den[0] == 0:
         raise ValueError("denominator has zero constant term")
     if den[0] != 1:

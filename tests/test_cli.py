@@ -166,6 +166,14 @@ def test_malformed_presentation_json_exit_2(tmp_path, blob):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["check-mild", "reduce", "oracle"])
+def test_deeply_nested_presentation_json_exits_2(tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, err = run_err([command, "--in", str(path)])
+    assert (code, err) == (2, f"error: {path}: JSON nested too deeply")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -47,6 +47,18 @@ def test_expand_rational_requires_unit_constant_term():
         expand_rational([1], [2, 1], 3)
 
 
+@pytest.mark.parametrize("bad", [1.7, "3", True, 2.0])
+def test_series_entry_points_refuse_non_integers(bad):
+    with pytest.raises(ValueError, match="numerator coefficients must be integers"):
+        expand_rational([bad], [1], 3)
+    with pytest.raises(ValueError, match="denominator coefficients must be integers"):
+        expand_rational([1], [1, bad], 3)
+    with pytest.raises(ValueError, match="series coefficients must be integers"):
+        IntSeries((1, bad))
+    with pytest.raises(ValueError, match="dimensions must be integers"):
+        DimensionSequence("reduced_b", 2, (bad,))
+
+
 def test_expand_rational_inverts_multiplication():
     rng = random.Random(3)
     for _ in range(100):
