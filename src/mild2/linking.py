@@ -32,7 +32,8 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .arith import DEFAULT_PRIME_BOUND, BoundExceededError, check_odd_prime, legendre, next_prime_in_class
+from .arith import DEFAULT_PRIME_BOUND, BoundExceededError, check_odd_prime, is_prime, legendre
+from .arith import _check_range, next_prime_in_class
 
 
 class NoEliminableGeneratorError(ValueError):
@@ -77,8 +78,9 @@ class LinkingData:
 
 
 def _nonsquare(p: int, q: int) -> bool:
-    """Euler's criterion for distinct odd primes the caller has validated, so
-    not legendre, which tests q again: p is a nonsquare mod q iff p^((q-1)/2) = -1."""
+    """Euler's criterion for a modulus q the caller has validated as an odd
+    prime, so not legendre, which tests q again: any integer p is a nonsquare
+    mod q iff p^((q-1)/2) = -1 (a multiple of q gives 0, so it is not)."""
     return pow(p, (q - 1) // 2, q) == q - 1
 
 
@@ -342,6 +344,8 @@ def eliminate_generator(pres: Presentation, t: int | None = None) -> Presentatio
         raise NoEliminableGeneratorError("the presentation has no nonzero product relation")
     if t is None:
         t = max(i for i, b in enumerate(prod, 1) if b)
+    if type(t) is not int:  # type() rather than int(): True must not pass as 1, nor 4.0 as 4
+        raise ValueError(f"generator index must be an int, got {type(t).__name__}")
     if not 1 <= t <= pres.d:
         raise ValueError(f"generator index {t} out of range 1..{pres.d}")
     if not prod[t - 1]:
@@ -471,29 +475,24 @@ class AugmentationResult:
         }
 
 
-def _primes_in_class(residue: int, avoid, bound: int):
-    """Primes q = residue (mod 4) outside avoid, ascending, up to bound."""
-    q = 2
-    while True:
-        try:
-            q = next_prime_in_class(q + 1, residue, 4, avoid=avoid, bound=bound)
-        except BoundExceededError:
-            return
-        yield q
-
-
 def _candidate_tuples(s0, bound: int):
-    """(q_aux, q_last) pairs for augment, in its order, each slot filtered once."""
+    """(q_aux, q_last) pairs for augment, in its order, each slot filtered once.
+
+    Each slot walks its class mod 4 and tests primality last, once its
+    conditions (one pow each) have refused most candidates.  Every modulus
+    there is a seed prime or a chosen q', so Euler's criterion is exact on any
+    integer, and is_prime refuses a composite that passes."""
 
     def slots(chosen: tuple[int, ...]):
         i = len(chosen)
         avoid = set(s0) | set(chosen)
         if i == len(s0):
-            for q in _primes_in_class(3, avoid, bound):
+            for q in range(3, bound + 1, 4):
                 if _nonsquare(q, chosen[0]) and not any(_nonsquare(q, qp) for qp in chosen[1:]):
-                    yield chosen, q
+                    if q not in avoid and is_prime(q):
+                        yield chosen, q
             return
-        for q in _primes_in_class(1, avoid, bound):
+        for q in range(5, bound + 1, 4):
             # (b) mod s0[i - 1] (q_m when i = 0) and mod s0[i] (i >= 1); (a) needs
             # one symbol per pair, both primes being 1 (mod 4): reciprocity.
             if (
@@ -501,6 +500,8 @@ def _candidate_tuples(s0, bound: int):
                 and (i == 0 or _nonsquare(q, s0[i]))
                 and not any(_nonsquare(q, prev) for prev in chosen)
                 and not (i == 0 and _relator_one_vanishes(s0, q))  # the prune
+                and q not in avoid
+                and is_prime(q)
             ):
                 yield from slots(chosen + (q,))
 
@@ -550,13 +551,14 @@ def augment(seed, bound: int = DEFAULT_PRIME_BOUND) -> AugmentationResult:
     is mild by the theorem above, so the first one is returned (attempts = 1)
     once validate_augmentation and check_mild confirm it; AssertionError if
     they do not.  Raises BoundExceededError when no tuple exists up to the
-    bound.
+    bound, and ValueError when the bound is not an int in [3, 2^64 - 1].
     """
     from .mildness import check_mild  # runtime import: mildness depends on this module
 
     s0 = normalize_seed(seed)
     if bound < 3:
         raise ValueError(f"auxiliary primes are odd, so the bound must be >= 3, got {bound}")
+    _check_range(bound, "bound")  # the scan's range() would run to 10**20 and raise TypeError on 1e6
     first = next(_candidate_tuples(s0, bound), None)
     if first is None:
         raise BoundExceededError(f"no mild augmentation of seed {s0} with auxiliary primes <= {bound}")

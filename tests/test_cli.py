@@ -427,6 +427,9 @@ def test_augment_json_and_bound_exit():
     assert blob["S"] == [5, 13, 41, 3, 23] and blob["attempts"] == 1
     code, out = run(["augment", "--seed", "13,3", "--bound", "20"])
     assert code == 5
+    code, err = run_err(["augment", "--seed", "13,3", "--bound", str(2**64)])
+    assert code == 2
+    assert err.splitlines() == ["error: bound = 18446744073709551616 exceeds the supported 64-bit range"]
 
 
 def test_augment_and_check_mild_past_the_partition_search_limit():

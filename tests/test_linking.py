@@ -80,6 +80,9 @@ def test_ordered_prime_set_validation():
         (WeightedAlphabet, ((1, True),)),
         (elimination_basis, (WeightedAlphabet((1, 1, 1)), (1.9,), 3)),
         (elimination_basis, (WeightedAlphabet((1, 1, 1)), (2, 2.0), 3)),
+        (augment, ((13, 3), 1e6)),
+        (eliminate_generator, (koch_presentation((3, 7)), True)),
+        (eliminate_generator, (koch_presentation(EX1), 4.0)),
     ],
 )
 def test_non_integer_input_is_refused_not_truncated(build, args):
@@ -574,6 +577,18 @@ def test_candidate_tuples_match_the_two_scanners(seed, bound):
     expected = list(itertools.islice(reference_tuples(s0, bound, prune=True), 200))
     assert expected
     assert list(itertools.islice(_candidate_tuples(s0, bound), 200)) == expected
+
+
+def test_candidate_tuples_match_the_two_scanners_on_random_seeds():
+    primes = [p for p in range(3, 3000, 2) if is_prime(p)]
+    rng = random.Random(19)
+    found = 0
+    for _ in range(20):
+        s0 = normalize_seed(rng.sample(primes, rng.randint(2, 6)))
+        expected = list(itertools.islice(reference_tuples(s0, 10**4, prune=True), 50))
+        assert list(itertools.islice(_candidate_tuples(s0, 10**4), 50)) == expected, s0
+        found += len(expected)
+    assert found
 
 
 def test_pruned_first_slot_tuples_are_inapplicable():

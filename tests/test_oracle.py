@@ -7,7 +7,9 @@ import tracemalloc
 import pytest
 
 from mild2 import gf2, oracle
-from mild2.linking import QuadraticRelator, eliminate_generator, koch_presentation
+from mild2.arith import is_prime
+from mild2.linking import QuadraticRelator, augment, eliminate_generator, koch_presentation, normalize_seed
+from mild2.mildness import check_mild
 from mild2.oracle import (
     MemoryGuardError,
     OracleComparison,
@@ -506,3 +508,40 @@ def test_oracle_profile_table_shape():
     lines = table.splitlines()
     assert lines[0].split() == ["degree", "ambient", "rank", "quotient"]
     assert len(lines) == 5
+
+
+# The converse checks: a mild G_S(2) from the degree-2 criteria means strongly
+# free initial forms, so the oracle must read the strongly free series.  A
+# failing draw is a finding to report, never a seed to change.
+
+
+def test_every_mild_verdict_matches_the_oracle_on_random_koch_sets():
+    primes = [p for p in range(3, 400, 2) if is_prime(p)]
+    rng = random.Random(19)
+    certified = 0
+    for _ in range(250):
+        S = rng.sample(primes, rng.randint(3, 7))
+        pres = koch_presentation(S)
+        if check_mild(pres).verdict != "mild":
+            continue
+        if any(pres.product_relation):
+            pres = eliminate_generator(pres)  # as check_mild does
+        cmp = strongly_free_oracle(pres.relators, 7 if pres.d <= 5 else 6)
+        assert cmp.match, (S, cmp.mismatch_degree)
+        certified += 1
+    assert certified >= 30
+
+
+def test_every_augment_result_matches_the_oracle():
+    primes = [p for p in range(3, 400, 2) if is_prime(p)]
+    rng = random.Random(29)
+    checked = 0
+    while checked < 30:
+        seed = rng.sample(primes, rng.randint(1, 3))
+        # 4 normalized primes give d = 8, where degree 6 exceeds the 1 GiB guard
+        if len(normalize_seed(seed)) > 3:
+            continue
+        pres = eliminate_generator(koch_presentation(augment(seed).S))
+        cmp = strongly_free_oracle(pres.relators, 6)
+        assert cmp.match, (seed, cmp.mismatch_degree)
+        checked += 1
