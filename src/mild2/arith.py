@@ -1,4 +1,4 @@
-"""Exact elementary number theory: primality, residue symbols, Mobius, prime search.
+"""Exact elementary number theory: primality, residue symbols, Mobius.
 
 Everything here is deterministic and exact; no probabilistic shortcuts are
 taken anywhere, because downstream certificates must never depend on a
@@ -10,9 +10,6 @@ loads it, so the parser needs no other module to build its flags.
 """
 
 from __future__ import annotations
-
-import math
-from collections.abc import Iterable
 
 MAX_INPUT = 2**64 - 1
 
@@ -85,6 +82,7 @@ def legendre(a: int, p: int) -> int:
     otherwise, via the Euler criterion a**((p-1)/2) mod p.
     """
     check_odd_prime(p)
+    _check_range(a, "a")  # refuses a bool before abs() turns True into 1
     _check_range(abs(a), "a")
     a %= p
     if a == 0:
@@ -111,30 +109,3 @@ def mobius(n: int) -> int:
         result = -result
     return result
 
-
-def next_prime_in_class(
-    start: int,
-    residue: int,
-    modulus: int,
-    avoid: Iterable[int] = (),
-    bound: int = MAX_INPUT,
-) -> int:
-    """Smallest prime q >= start with q = residue (mod modulus), q not in avoid, q <= bound.
-
-    Raises BoundExceededError when no such prime exists up to the bound.
-    """
-    _check_range(start, "start")
-    _check_range(bound, "bound")
-    if not 0 < residue < modulus:
-        raise ValueError(f"residue must satisfy 0 < residue < modulus, got {residue} mod {modulus}")
-    if math.gcd(residue, modulus) != 1:
-        raise ValueError(f"residue {residue} and modulus {modulus} are not coprime")
-    skip = set(avoid)
-    q = start + ((residue - start) % modulus)
-    while q <= bound:
-        if q >= 2 and q not in skip and is_prime(q):
-            return q
-        q += modulus
-    raise BoundExceededError(
-        f"no prime = {residue} (mod {modulus}) in [{start}, {bound}] outside the avoid set"
-    )

@@ -32,8 +32,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .arith import DEFAULT_PRIME_BOUND, BoundExceededError, check_odd_prime, is_prime, legendre
-from .arith import _check_range, next_prime_in_class
+from .arith import DEFAULT_PRIME_BOUND, BoundExceededError, _check_range, check_odd_prime, is_prime, legendre
 
 
 class NoEliminableGeneratorError(ValueError):
@@ -369,8 +368,10 @@ def eliminate_generator(pres: Presentation, t: int | None = None) -> Presentatio
 def normalize_seed(seed) -> tuple[int, ...]:
     """Order a seed set: primes = 1 (mod 4) ascending, then = 3 (mod 4) ascending.
 
-    If either class is missing, the smallest prime of that class outside the
-    seed is adjoined, so the result always has both classes and length >= 2.
+    If either class is missing, its smallest prime is adjoined: 5 when no
+    prime = 1 (mod 4) is in the seed, 3 when no prime = 3 (mod 4) is, neither
+    of which can then be in it.  So the result always has both classes and
+    length >= 2.
     """
     ps = sorted({check_odd_prime(p) for p in seed})  # also refuses non-integers and booleans
     if not ps:
@@ -378,9 +379,9 @@ def normalize_seed(seed) -> tuple[int, ...]:
     class1 = [p for p in ps if p % 4 == 1]
     class3 = [p for p in ps if p % 4 == 3]
     if not class1:
-        class1 = [next_prime_in_class(3, 1, 4, avoid=ps, bound=DEFAULT_PRIME_BOUND)]
+        class1 = [5]
     if not class3:
-        class3 = [next_prime_in_class(3, 3, 4, avoid=ps, bound=DEFAULT_PRIME_BOUND)]
+        class3 = [3]
     return tuple(class1 + class3)
 
 
@@ -556,9 +557,9 @@ def augment(seed, bound: int = DEFAULT_PRIME_BOUND) -> AugmentationResult:
     from .mildness import check_mild  # runtime import: mildness depends on this module
 
     s0 = normalize_seed(seed)
+    _check_range(bound, "bound")  # ahead of bound < 3 and the scan's range(): TypeError on "5" or 1e6
     if bound < 3:
         raise ValueError(f"auxiliary primes are odd, so the bound must be >= 3, got {bound}")
-    _check_range(bound, "bound")  # the scan's range() would run to 10**20 and raise TypeError on 1e6
     first = next(_candidate_tuples(s0, bound), None)
     if first is None:
         raise BoundExceededError(f"no mild augmentation of seed {s0} with auxiliary primes <= {bound}")

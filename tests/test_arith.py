@@ -1,18 +1,10 @@
-"""Number-theory helpers: primality, residue symbols, Möbius, prime search."""
+"""Number-theory helpers: primality, residue symbols, Möbius."""
 
-import math
 import random
 
 import pytest
 
-from mild2.arith import (
-    BoundExceededError,
-    check_odd_prime,
-    is_prime,
-    legendre,
-    mobius,
-    next_prime_in_class,
-)
+from mild2.arith import check_odd_prime, is_prime, legendre, mobius
 
 
 def sieve(limit):
@@ -101,37 +93,3 @@ def test_mobius_rejects_nonpositive():
     with pytest.raises(ValueError):
         mobius(0)
 
-
-def test_next_prime_in_class_basic():
-    assert next_prime_in_class(3, 1, 4) == 5
-    assert next_prime_in_class(5, 1, 4) == 5
-    assert next_prime_in_class(6, 1, 4) == 13
-    assert next_prime_in_class(3, 3, 4) == 3
-    assert next_prime_in_class(4, 3, 4) == 7
-
-
-def test_next_prime_in_class_respects_avoid():
-    assert next_prime_in_class(3, 1, 4, avoid=(5, 13)) == 17
-    assert next_prime_in_class(2, 3, 4, avoid=(3, 7, 11)) == 19
-
-
-def test_next_prime_in_class_residue_and_bound():
-    rng = random.Random(11)
-    for _ in range(200):
-        modulus = rng.choice([4, 3, 5, 8, 12])
-        residue = rng.choice([r for r in range(1, modulus) if math.gcd(r, modulus) == 1])
-        start = rng.randrange(2, 10**6)
-        p = next_prime_in_class(start, residue, modulus)
-        assert p >= start and p % modulus == residue and is_prime(p)
-    assert next_prime_in_class(100, 1, 4, bound=101) == 101  # bound is inclusive
-    with pytest.raises(BoundExceededError):
-        next_prime_in_class(100, 1, 4, bound=100)
-
-
-def test_next_prime_in_class_validates_class():
-    with pytest.raises(ValueError):
-        next_prime_in_class(3, 2, 4)  # gcd(2, 4) > 1
-    with pytest.raises(ValueError):
-        next_prime_in_class(3, 4, 4)
-    with pytest.raises(ValueError):
-        next_prime_in_class(3, 0, 4)

@@ -204,6 +204,20 @@ def test_series_and_dims_refuse_impossible_d_and_m(argv, message):
 @pytest.mark.parametrize(
     "argv, message",
     [
+        (["reduce"], "error: provide --primes or --in FILE"),
+        (["series"], "error: provide --e/--h or --d/--m"),
+        (["dims", "--kind", "zassenhaus"], "error: --kind zassenhaus needs --d (and optionally --m)"),
+        (["basis", "--kind", "elimination", "--weights", "1,1"], "error: --kind elimination needs --sigma"),
+        (["linking", "--primes", "3,x"], "error: --primes must be a comma-separated list of integers, got '3,x'"),
+    ],
+)
+def test_missing_or_malformed_inputs_exit_2(argv, message):
+    assert run_err(argv) == (2, message)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
         (["series", "--d", "4", "--h", "2,2"], "give --e/--h or --d/--m, not both"),
         (["series", "--e", "1,1", "--d", "4"], "give --e/--h or --d/--m, not both"),
         (["series", "--e", "1,1", "--m", "3"], "give --e/--h or --d/--m, not both"),
@@ -382,6 +396,13 @@ def test_memory_cap_flag_and_env():
     with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
         cli.main(["oracle", "--primes", EX1, "--max", "6", "--memory-cap-mib", "0"])
     assert exc.value.code == 2
+    # so is a cap that is not a number
+    errors = io.StringIO()
+    with pytest.raises(SystemExit) as exc, redirect_stderr(errors):
+        cli.main(["check-mild", "--primes", EX1, "--memory-cap-mib", "abc"])
+    assert exc.value.code == 2
+    last = errors.getvalue().splitlines()[-1]
+    assert last.endswith("argument --memory-cap-mib: must be a positive integer, got 'abc'")
 
 
 def test_a_doomed_oracle_request_is_refused_before_any_degree_is_built():

@@ -1,17 +1,20 @@
 """Prime linking data, Koch presentations, elimination, augmentation search."""
 
 import itertools
+import math
 import os
 import random
+import re
 import subprocess
 import sys
+from collections.abc import Iterable
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import mild2
-from mild2.arith import BoundExceededError, is_prime, legendre, next_prime_in_class
+from mild2.arith import DEFAULT_PRIME_BOUND, MAX_INPUT, BoundExceededError, _check_range, is_prime, legendre
 from mild2.linking import (
     AugmentationResult,
     NoEliminableGeneratorError,
@@ -83,6 +86,10 @@ def test_ordered_prime_set_validation():
         (augment, ((13, 3), 1e6)),
         (eliminate_generator, (koch_presentation((3, 7)), True)),
         (eliminate_generator, (koch_presentation(EX1), 4.0)),
+        (augment, ((13, 3), "5")),
+        (augment, ((13, 3), None)),
+        (augment, ((13, 3), True)),
+        (legendre, (True, 7)),
     ],
 )
 def test_non_integer_input_is_refused_not_truncated(build, args):
@@ -388,11 +395,39 @@ def test_presentation_json_rejects_bad_shapes():
         ({"relators": [], "a": [0], "primes": [3, 5]}, "of one length d"),
         ({"relators": [{"comms": [[1, 2], [2, 1]]}], "a": [0, 0]}, r"relator 1: .*pair \[1, 2\] twice"),
         ({"relators": [{}, {"comms": [[2, 3], [1, 3], [2, 3]]}], "a": [0] * 3}, r"relator 2: .*\[2, 3\] twice"),
+        ({"primes": [3, 3], "relators": []}, r"'primes' entries must be distinct, got \[3, 3\]"),
+        ({"a": [0, 0], "relators": [{"comms": [1, 2]}]}, "relator 1: comms must be an array of index pairs"),
     ],
 )
 def test_presentation_json_errors_name_the_failing_check(blob, message):
     with pytest.raises(ValueError, match=message):
         Presentation.from_json_dict(blob)
+
+
+@pytest.mark.parametrize(
+    "build, args, kwargs, message",
+    [
+        (
+            Presentation,
+            (3, ()),
+            {"product_relation": (1, 0)},
+            "product relation length does not match generator count",
+        ),
+        (Presentation, (3, ()), {"primes": (3, 5)}, "primes length does not match generator count"),
+        (
+            Presentation,
+            (3, (QuadraticRelator(4, (0, 0, 0, 0), {(1, 2)}),)),
+            {},
+            "relator on 4 generators in a presentation with d = 3",
+        ),
+        (eliminate_generator, (koch_presentation(EX1), 9), {}, "generator index 9 out of range 1..5"),
+        (validate_augmentation, ((13,), (5,), 3), {}, "the seed must be normalized (length >= 2)"),
+        (validate_augmentation, ((13, 3), (5,), 3), {}, "expected 2 auxiliary primes, got 1"),
+    ],
+)
+def test_malformed_arguments_are_refused_with_the_failing_check(build, args, kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build(*args, **kwargs)
 
 
 def test_normalize_seed_orders_and_adjoins():
@@ -430,6 +465,9 @@ def test_validate_augmentation_reference_triples():
     )
     # wrong residue class is caught too
     assert not validate_augmentation((13, 3), (7, 5), 19).ok
+    # a repeated prime is the first violation
+    repeated = validate_augmentation((13, 3), (13, 5), 19).violations
+    assert repeated[0] == "primes are not pairwise distinct: (13, 3, 13, 5, 19)"
 
 
 def test_augment_frozen_result_and_determinism():
@@ -512,6 +550,96 @@ def test_augment_json_shape():
         "S": [5, 13, 41, 3, 23],
         "attempts": 1,
     }
+
+
+# A general residue-class prime search: the independent scanner under the
+# references for normalize_seed and _candidate_tuples.
+
+
+def next_prime_in_class(
+    start: int,
+    residue: int,
+    modulus: int,
+    avoid: Iterable[int] = (),
+    bound: int = MAX_INPUT,
+) -> int:
+    """Smallest prime q >= start with q = residue (mod modulus), q not in avoid, q <= bound.
+
+    Raises BoundExceededError when no such prime exists up to the bound.
+    """
+    _check_range(start, "start")
+    _check_range(bound, "bound")
+    if not 0 < residue < modulus:
+        raise ValueError(f"residue must satisfy 0 < residue < modulus, got {residue} mod {modulus}")
+    if math.gcd(residue, modulus) != 1:
+        raise ValueError(f"residue {residue} and modulus {modulus} are not coprime")
+    skip = set(avoid)
+    q = start + ((residue - start) % modulus)
+    while q <= bound:
+        if q >= 2 and q not in skip and is_prime(q):
+            return q
+        q += modulus
+    raise BoundExceededError(
+        f"no prime = {residue} (mod {modulus}) in [{start}, {bound}] outside the avoid set"
+    )
+
+
+def test_next_prime_in_class_basic():
+    assert next_prime_in_class(3, 1, 4) == 5
+    assert next_prime_in_class(5, 1, 4) == 5
+    assert next_prime_in_class(6, 1, 4) == 13
+    assert next_prime_in_class(3, 3, 4) == 3
+    assert next_prime_in_class(4, 3, 4) == 7
+
+
+def test_next_prime_in_class_respects_avoid():
+    assert next_prime_in_class(3, 1, 4, avoid=(5, 13)) == 17
+    assert next_prime_in_class(2, 3, 4, avoid=(3, 7, 11)) == 19
+
+
+def test_next_prime_in_class_residue_and_bound():
+    rng = random.Random(11)
+    for _ in range(200):
+        modulus = rng.choice([4, 3, 5, 8, 12])
+        residue = rng.choice([r for r in range(1, modulus) if math.gcd(r, modulus) == 1])
+        start = rng.randrange(2, 10**6)
+        p = next_prime_in_class(start, residue, modulus)
+        assert p >= start and p % modulus == residue and is_prime(p)
+    assert next_prime_in_class(100, 1, 4, bound=101) == 101  # bound is inclusive
+    with pytest.raises(BoundExceededError):
+        next_prime_in_class(100, 1, 4, bound=100)
+
+
+def test_next_prime_in_class_validates_class():
+    with pytest.raises(ValueError):
+        next_prime_in_class(3, 2, 4)  # gcd(2, 4) > 1
+    with pytest.raises(ValueError):
+        next_prime_in_class(3, 4, 4)
+    with pytest.raises(ValueError):
+        next_prime_in_class(3, 0, 4)
+
+
+def reference_normalize_seed(seed):
+    """normalize_seed as a search: the smallest prime of a missing class outside the seed."""
+    ps = sorted(set(seed))
+    class1 = [p for p in ps if p % 4 == 1] or [next_prime_in_class(3, 1, 4, avoid=ps, bound=DEFAULT_PRIME_BOUND)]
+    class3 = [p for p in ps if p % 4 == 3] or [next_prime_in_class(3, 3, 4, avoid=ps, bound=DEFAULT_PRIME_BOUND)]
+    return tuple(class1 + class3)
+
+
+def test_normalize_seed_matches_the_search_reference():
+    odd = [p for p in range(3, 3000, 2) if is_prime(p)]
+    pools = (odd, [p for p in odd if p % 4 == 1], [p for p in odd if p % 4 == 3])
+    seeds = [(3,), (5,), (7,), (13,), (3, 7, 11), (5, 13, 17), (3, 13)]
+    for k in range(3000):
+        rng = random.Random(k)
+        seeds.append(tuple(rng.sample(rng.choice(pools), rng.randint(1, 8))))
+    adjoined = set()
+    for seed in seeds:
+        expected = reference_normalize_seed(seed)
+        assert normalize_seed(seed) == expected, seed
+        adjoined |= set(expected) - set(seed)
+    assert adjoined == {3, 5}  # both fallbacks fire
 
 
 # The candidate scan as two separate scanners, one per residue class, with

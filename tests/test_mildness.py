@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -189,6 +190,17 @@ def test_find_mild_partition_none_and_empty():
     )
     assert find_mild_partition(control) is None
     assert find_mild_partition(()) == Partition((), ())
+
+
+@pytest.mark.parametrize(
+    "decide",
+    [lambda rels: rank_criterion(rels, parity_partition(3)), circuit_criterion, find_mild_partition],
+    ids=["rank_criterion", "circuit_criterion", "find_mild_partition"],
+)
+def test_relators_on_different_generator_counts_are_refused(decide):
+    relators = (QuadraticRelator(3, (0, 0, 0), {(1, 2)}), QuadraticRelator(4, (0, 0, 0, 0), {(1, 2)}))
+    with pytest.raises(ValueError, match=re.escape("relators disagree on the generator count: [3, 4]")):
+        decide(relators)
 
 
 def test_find_mild_partition_guard():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -466,6 +467,26 @@ def test_strongly_free_oracle_rejects_zero_relators():
         strongly_free_oracle((zero,), 3)
     with pytest.raises(ValueError, match="at least one relator"):
         strongly_free_oracle((), 3)
+
+
+X3, X4 = unit_alphabet(3), unit_alphabet(4)
+P4 = relator_to_poly(QuadraticRelator(4, (0, 0, 0, 0), {(1, 2)}), F2)
+X1 = NcPoly.generator(X3, 1, F2)
+
+
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (quotient_dims, (4, [P4], -1), "n_max must be nonnegative"),
+        (quotient_dims, (3, [P4], 3), "relator 1 lives in a different algebra"),
+        (strongly_free_oracle, ([QuadraticRelator(2, (0, 0), {(1, 2)})], 1), "the oracle needs n_max >= 2"),
+        (independent_in_degree, ([X1, NcPoly.generator(X4, 1, F2)],), "polynomials live in different algebras"),
+        (independent_in_degree, ([X1 + mul(X1, X1)],), "independence check needs homogeneous polynomials"),
+    ],
+)
+def test_oracle_refusals_name_the_failing_check(call, args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(*args)
 
 
 def test_oracle_comparison_serialization():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from bisect import bisect_right
 from math import comb
 
@@ -67,6 +68,12 @@ def test_ncpoly_validation():
         NcPoly(X, F2, frozenset({(1, (1,))}))  # pi over F2
     with pytest.raises(ValueError):
         NcPoly(X, F2, frozenset({(0, (4,))}))  # no such letter
+    with pytest.raises(ValueError, match=re.escape("ring must be one of ('F2', 'F2pi'), got 'F3'")):
+        NcPoly(X, "F3", frozenset())
+    with pytest.raises(ValueError, match="alphabet mismatch"):
+        gen(1) + NcPoly.generator(unit_alphabet(4), 1, F2)
+    with pytest.raises(ValueError, match="ring mismatch: F2 vs F2pi"):
+        gen(1) + NcPoly.generator(X, 1, F2PI)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -45,6 +46,19 @@ def test_expand_rational_requires_unit_constant_term():
         expand_rational([1], [0, 1], 3)
     with pytest.raises(ValueError, match="constant term"):
         expand_rational([1], [2, 1], 3)
+
+
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (IntSeries, ((),), "a series carries at least its constant term"),
+        (power_sums, (WeightSignature((1, 1)), 0), "length must be >= 1, got 0"),
+        (zassenhaus_dims, (0, 1, 3), "need d >= 1 and m >= 0, got d = 0, m = 1"),
+    ],
+)
+def test_series_refusals_name_the_failing_check(call, args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(*args)
 
 
 @pytest.mark.parametrize("bad", [1.7, "3", True, 2.0])
