@@ -70,17 +70,17 @@ r2' = [x2,x1][x2,x3][x2,x4]
 r3' = [x3,x2][x3,x4]
 r4' = x4^2[x4,x1][x4,x3]"""
 
-GOLDEN_EX2_PRESENT = """\
+# The last relator is recomputed from residue symbols; its commutator list
+# includes [x5,x3].  It is discarded by the reduction either way.
+GOLDEN_EX2_R5 = "x5^2[x5,x1][x5,x2][x5,x3]"
+
+GOLDEN_EX2_PRESENT = f"""\
 r1 = [x1,x3][x1,x5]
 r2 = [x2,x4][x2,x5]
 r3 = x3^2[x3,x1][x3,x4]
 r4 = x4^2[x4,x2][x4,x5]
-r5 = x5^2[x5,x1][x5,x2][x5,x3]
+r5 = {GOLDEN_EX2_R5}
 r = x3x4x5"""
-
-# The last relator is recomputed from residue symbols; its commutator list
-# includes [x5,x3].  It is discarded by the reduction either way.
-GOLDEN_EX2_R5 = "x5^2[x5,x1][x5,x2][x5,x3]"
 
 GOLDEN_EX2_REDUCE = """\
 r1' = [x1,x4]
@@ -122,35 +122,33 @@ def _expect(found, expected, label: str) -> str:
     return "" if found == expected else f"{label}: expected {expected!r}, got {found!r}; "
 
 
-def criterion_1() -> CriterionResult:
+def _time_limit(label: str, started: float, limit: int) -> str:
+    """'' while fewer than limit seconds have passed since started, else the
+    problem text '<label> <seconds>s >= <limit>s; ', the seconds to two
+    decimals for a limit below 10 s and to one from 10 s up."""
+    seconds = time.perf_counter() - started
+    if seconds < limit:
+        return ""
+    return f"{label} {seconds:.{2 if limit < 10 else 1}f}s >= {limit}s; "
+
+
+def _present_reduce(number: int, primes: str, present: str, reduced: str) -> CriterionResult:
     started = time.perf_counter()
     problems = ""
-    code, out = run_cli(["present", "--primes", EX1_PRIMES])
-    problems += _expect(code, 0, "present exit")
-    problems += _expect(out, GOLDEN_EX1_PRESENT, "present text")
-    code, out = run_cli(["reduce", "--primes", EX1_PRIMES])
-    problems += _expect(code, 0, "reduce exit")
-    problems += _expect(out, GOLDEN_EX1_REDUCE, "reduce text")
-    elapsed = time.perf_counter() - started
-    if elapsed >= 1.0:
-        problems += f"runtime {elapsed:.2f}s >= 1s; "
-    return _result(1, f"present/reduce --primes {EX1_PRIMES} byte-exact", started, not problems, problems)
+    for command, golden in (("present", present), ("reduce", reduced)):
+        code, out = run_cli([command, "--primes", primes])
+        problems += _expect(code, 0, f"{command} exit")
+        problems += _expect(out, golden, f"{command} text")
+    problems += _time_limit("runtime", started, 1)
+    return _result(number, f"present/reduce --primes {primes} byte-exact", started, not problems, problems)
+
+
+def criterion_1() -> CriterionResult:
+    return _present_reduce(1, EX1_PRIMES, GOLDEN_EX1_PRESENT, GOLDEN_EX1_REDUCE)
 
 
 def criterion_2() -> CriterionResult:
-    started = time.perf_counter()
-    problems = ""
-    code, out = run_cli(["present", "--primes", EX2_PRIMES])
-    problems += _expect(code, 0, "present exit")
-    problems += _expect(out, GOLDEN_EX2_PRESENT, "present text")
-    problems += _expect(out.splitlines()[4], f"r5 = {GOLDEN_EX2_R5}", "computed r5")
-    code, out = run_cli(["reduce", "--primes", EX2_PRIMES])
-    problems += _expect(code, 0, "reduce exit")
-    problems += _expect(out, GOLDEN_EX2_REDUCE, "reduce text")
-    elapsed = time.perf_counter() - started
-    if elapsed >= 1.0:
-        problems += f"runtime {elapsed:.2f}s >= 1s; "
-    return _result(2, f"present/reduce --primes {EX2_PRIMES} byte-exact", started, not problems, problems)
+    return _present_reduce(2, EX2_PRIMES, GOLDEN_EX2_PRESENT, GOLDEN_EX2_REDUCE)
 
 
 def _circuit_instance(d: int) -> list[QuadraticRelator]:
@@ -173,9 +171,7 @@ def criterion_3() -> CriterionResult:
     for d in (4, 6):
         rep = check_mild(Presentation(d, tuple(_circuit_instance(d))))
         problems += _expect((rep.verdict, rep.criterion), ("mild", "circuit"), f"cycle d={d}")
-    elapsed = time.perf_counter() - started
-    if elapsed >= 3.0:
-        problems += f"runtime {elapsed:.2f}s >= 3s; "
+    problems += _time_limit("runtime", started, 3)
     return _result(3, "mild verdicts (circuit, rank with Sp={3,4}, cycles d=4,6)", started, not problems, problems)
 
 
@@ -186,26 +182,20 @@ def criterion_4() -> CriterionResult:
         relators = eliminate_generator(koch_presentation(primes)).relators
         t0 = time.perf_counter()
         cmp_f2 = strongly_free_oracle(relators, 6, ring=F2, memory_cap_mib=1024)
-        f2_seconds = time.perf_counter() - t0
         problems += _expect(cmp_f2.oracle_dims, F2_DIMS_0_TO_6, f"F2 dims {primes}")
         problems += _expect(cmp_f2.match, True, f"F2 match {primes}")
-        if f2_seconds >= 10:
-            problems += f"F2 oracle {primes} took {f2_seconds:.1f}s >= 10s; "
+        problems += _time_limit(f"F2 oracle {primes} took", t0, 10)
         t0 = time.perf_counter()
         cmp_pi = strongly_free_oracle(relators, 5, ring=F2PI, memory_cap_mib=1024)
-        pi_seconds = time.perf_counter() - t0
         problems += _expect(cmp_pi.oracle_dims, F2PI_DIMS_0_TO_5, f"F2pi dims {primes}")
         problems += _expect(cmp_pi.match, True, f"F2pi match {primes}")
-        if pi_seconds >= 60:
-            problems += f"F2pi oracle {primes} took {pi_seconds:.1f}s >= 60s; "
+        problems += _time_limit(f"F2pi oracle {primes} took", t0, 60)
     relators = eliminate_generator(koch_presentation((41, 13, 5, 3, 19))).relators
     t0 = time.perf_counter()
     cmp7 = strongly_free_oracle(relators, 7, ring=F2, memory_cap_mib=1024)
-    seven_seconds = time.perf_counter() - t0
     problems += _expect(cmp7.oracle_dims, F2_DIMS_0_TO_6 + (F2_DIM_7,), "F2 dims deg<=7")
     problems += _expect(cmp7.match, True, "F2 match deg<=7")
-    if seven_seconds >= 120:
-        problems += f"F2 degree-7 oracle took {seven_seconds:.1f}s >= 120s; "
+    problems += _time_limit("F2 degree-7 oracle took", t0, 120)
     return _result(4, "oracle dims match series (F2 deg<=7, F2pi deg<=5, cap 1 GiB)", started, not problems, problems)
 
 
@@ -245,9 +235,7 @@ def criterion_6() -> CriterionResult:
                     problems += f"product identity fails for e={sig.e}, h={sig.h}; "
     if checked < 10:
         problems += f"only {checked} signatures admitted the product identity check; "
-    elapsed = time.perf_counter() - started
-    if elapsed >= 5.0:
-        problems += f"runtime {elapsed:.2f}s >= 5s; "
+    problems += _time_limit("runtime", started, 5)
     return _result(6, f"series values and product identity to degree 10 ({checked} signatures)", started, not problems, problems)
 
 
@@ -292,9 +280,7 @@ def criterion_7() -> CriterionResult:
                     problems += (
                         f"weights {alphabet.weights} sigma {sigma} degree {deg}: dependent; "
                     )
-    elapsed = time.perf_counter() - started
-    if elapsed >= 30:
-        problems += f"runtime {elapsed:.1f}s >= 30s; "
+    problems += _time_limit("runtime", started, 30)
     return _result(7, "basis counts match the generating function; images independent", started, not problems, problems)
 
 
@@ -315,9 +301,7 @@ def criterion_8() -> CriterionResult:
     problems += _expect(check.ok, True, f"result validation {check.violations}")
     verdict = check_mild(koch_presentation(first.S)).verdict
     problems += _expect(verdict, "mild", "result mildness")
-    elapsed = time.perf_counter() - started
-    if elapsed >= 10:
-        problems += f"runtime {elapsed:.1f}s >= 10s; "
+    problems += _time_limit("runtime", started, 10)
     return _result(8, "augment seed (13,3) deterministic, validated, mild", started, not problems, problems)
 
 
@@ -377,9 +361,7 @@ def criterion_9() -> CriterionResult:
         sign = -1 if (p % 4 == 3 and q % 4 == 3) else 1
         if legendre(p, q) * legendre(q, p) != sign:
             problems += f"reciprocity fails for ({p}, {q}); "
-    elapsed = time.perf_counter() - started
-    if elapsed >= 30:
-        problems += f"runtime {elapsed:.1f}s >= 30s; "
+    problems += _time_limit("runtime", started, 30)
     return _result(9, "identity suites: 1000 cases each + residue symbol cross-checks", started, not problems, problems)
 
 

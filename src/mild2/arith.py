@@ -36,11 +36,32 @@ class MemoryGuardError(MemoryError):
     """The estimated memory of a degree exceeds the configured cap."""
 
 
-def _check_range(n: int, name: str = "n") -> None:
+def _check_int(n: int, name: str) -> None:
+    """Refuse a non-integer by type, before any comparison: 3.0 must not pass
+    as 3, nor True as 1."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"{name} must be an int, got {type(n).__name__}")
+
+
+def _check_range(n: int, name: str = "n") -> None:
+    _check_int(n, name)
     if n > MAX_INPUT:
         raise ValueError(f"{name} = {n} exceeds the supported 64-bit range")
+
+
+def _record_json(record) -> dict:
+    """JSON object of a result record: its dataclass fields in declaration
+    order, tuples as arrays, and nested records in their own JSON form.
+    Records bind it as their to_json_dict.  It reads __dataclass_fields__
+    (so a record declares no ClassVar), which spares this module, loaded by
+    every launch, the import of dataclasses."""
+
+    def value(v):
+        if isinstance(v, tuple):
+            return [value(x) for x in v]
+        return v.to_json_dict() if hasattr(v, "to_json_dict") else v
+
+    return {name: value(getattr(record, name)) for name in record.__dataclass_fields__}
 
 
 def is_prime(n: int) -> bool:

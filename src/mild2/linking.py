@@ -32,7 +32,9 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .arith import DEFAULT_PRIME_BOUND, BoundExceededError, _check_range, check_odd_prime, is_prime, legendre
+from .arith import (
+    DEFAULT_PRIME_BOUND, BoundExceededError, _check_int, _check_range, _record_json, check_odd_prime, is_prime, legendre
+)
 
 
 class NoEliminableGeneratorError(ValueError):
@@ -63,8 +65,7 @@ class LinkingData:
     def d(self) -> int:
         return len(self.primes)
 
-    def to_json_dict(self) -> dict:
-        return {"primes": list(self.primes), "a": list(self.a), "ell": [list(r) for r in self.ell]}
+    to_json_dict = _record_json
 
     def text(self) -> str:
         lines = [f"S = ({', '.join(str(p) for p in self.primes)})"]
@@ -108,6 +109,7 @@ class QuadraticRelator:
     owner: int | None = None
 
     def __post_init__(self):
+        _check_int(self.d, "d")
         object.__setattr__(self, "squares", tuple(self.squares))
         object.__setattr__(
             self, "comms", frozenset((min(i, j), max(i, j)) for i, j in self.comms)
@@ -187,6 +189,7 @@ class Presentation:
     history: tuple[str, ...] = ()
 
     def __post_init__(self):
+        _check_int(self.d, "d")
         object.__setattr__(self, "relators", tuple(self.relators))
         if self.product_relation is not None:
             object.__setattr__(self, "product_relation", tuple(self.product_relation))
@@ -343,8 +346,7 @@ def eliminate_generator(pres: Presentation, t: int | None = None) -> Presentatio
         raise NoEliminableGeneratorError("the presentation has no nonzero product relation")
     if t is None:
         t = max(i for i, b in enumerate(prod, 1) if b)
-    if type(t) is not int:  # type() rather than int(): True must not pass as 1, nor 4.0 as 4
-        raise ValueError(f"generator index must be an int, got {type(t).__name__}")
+    _check_int(t, "generator index")
     if not 1 <= t <= pres.d:
         raise ValueError(f"generator index {t} out of range 1..{pres.d}")
     if not prod[t - 1]:
@@ -466,14 +468,7 @@ class AugmentationResult:
     S: tuple[int, ...]
     attempts: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "seed": list(self.seed),
-            "q_aux": list(self.q_aux),
-            "q_last": self.q_last,
-            "S": list(self.S),
-            "attempts": self.attempts,
-        }
+    to_json_dict = _record_json
 
 
 def _candidate_tuples(s0, bound: int):

@@ -24,8 +24,8 @@ import itertools
 from dataclasses import dataclass
 
 from . import gf2
-from .arith import DEFAULT_MEMORY_CAP_MIB, F2, BoundExceededError
-from .linking import Presentation, QuadraticRelator, eliminate_generator
+from .arith import DEFAULT_MEMORY_CAP_MIB, F2, BoundExceededError, _check_int, _record_json
+from .linking import Presentation, eliminate_generator
 
 MAX_ENUMERATION_D = 20
 
@@ -37,8 +37,7 @@ class Partition:
     S: tuple[int, ...]
     Sp: tuple[int, ...]
 
-    def to_json_dict(self) -> dict:
-        return {"S": list(self.S), "Sp": list(self.Sp)}
+    to_json_dict = _record_json
 
 
 def parity_partition(d: int) -> Partition:
@@ -169,14 +168,7 @@ class MildnessReport:
     oracle_depth: int | None
     notes: tuple[str, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "criterion": self.criterion,
-            "witness": self.witness.to_json_dict() if self.witness else None,
-            "oracle_depth": self.oracle_depth,
-            "notes": list(self.notes),
-        }
+    to_json_dict = _record_json
 
     def text(self) -> str:
         lines = [f"verdict = {self.verdict}", f"criterion = {self.criterion}"]
@@ -203,6 +195,8 @@ def check_mild(
     quotient-dimension oracle runs on the final relators and its agreement
     is recorded in the notes.
     """
+    if oracle_depth is not None:
+        _check_int(oracle_depth, "oracle_depth")
     notes: list[str] = []
     pres = presentation
     if pres.product_relation is not None and any(pres.product_relation):

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from . import gf2
-from .arith import DEFAULT_MEMORY_CAP_MIB, F2, F2PI, MemoryGuardError
+from .arith import DEFAULT_MEMORY_CAP_MIB, F2, F2PI, MemoryGuardError, _check_int, _record_json
 from .quadlie import relator_to_poly, unit_alphabet
 from .series import DimensionSequence, WeightSignature, check_series_size, gamma_series, strongly_free_series
 
@@ -59,6 +59,8 @@ class DegreeRank:
     ambient: int
     rank: int
     quotient: int
+
+    to_json_dict = _record_json
 
 
 @dataclass(frozen=True)
@@ -71,19 +73,7 @@ class RankProfile:
             "quotient_dims", 0, tuple(row.quotient for row in self.per_degree)
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "ring": self.ring,
-            "per_degree": [
-                {
-                    "degree": row.degree,
-                    "ambient": row.ambient,
-                    "rank": row.rank,
-                    "quotient": row.quotient,
-                }
-                for row in self.per_degree
-            ],
-        }
+    to_json_dict = _record_json
 
     def table(self) -> str:
         lines = ["degree  ambient  rank  quotient"]
@@ -191,6 +181,7 @@ def quotient_dims(
     is an oracle fault and raises RuntimeError.
     """
     relators = tuple(relators)
+    _check_int(n_max, "n_max")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     _check_relators(unit_alphabet(d), relators, ring)
@@ -269,16 +260,7 @@ class OracleComparison:
     mismatch_degree: int | None
     profile: RankProfile
 
-    def to_json_dict(self) -> dict:
-        return {
-            "ring": self.ring,
-            "n_max": self.n_max,
-            "oracle_dims": list(self.oracle_dims),
-            "expected_dims": list(self.expected_dims),
-            "match": self.match,
-            "mismatch_degree": self.mismatch_degree,
-            "profile": self.profile.to_json_dict(),
-        }
+    to_json_dict = _record_json
 
 
 def strongly_free_oracle(
@@ -295,6 +277,7 @@ def strongly_free_oracle(
     all on the same d generators and each nonzero.
     """
     relators = tuple(relators)
+    _check_int(n_max, "n_max")
     if n_max < 2:
         raise ValueError("the oracle needs n_max >= 2")
     if not relators:

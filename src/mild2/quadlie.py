@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Union
 
-from .arith import F2, F2PI, RINGS, BoundExceededError
+from .arith import F2, F2PI, RINGS, BoundExceededError, _check_int
 
 
 @dataclass(frozen=True)
@@ -330,6 +330,7 @@ def enumerate_y(alphabet: WeightedAlphabet, k_max: int) -> dict[int, list[Bracke
     for k = 3..k_max, keeping only the words of degree <= k_max.  Per degree
     the count matches the coefficient of 1 - (1+t)**m * (1 - sum_i m_i t**e_i).
     """
+    _check_int(k_max, "k_max")
     if k_max < 2:
         raise ValueError(f"k_max must be >= 2, got {k_max}")
     m = alphabet.m
@@ -405,6 +406,7 @@ def elimination_basis(
     Level n + 1 is [x_s, w] for s in sigma ascending and w in level n in
     order, which keeps that order; each word shares its tail w and leaves.
     """
+    _check_int(n_max, "n_max")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     sig = sorted(set(sigma))  # type() on every entry: the set merges 1.0 and True into 1

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from math import comb, isqrt, log2
 
-from .arith import BoundExceededError, mobius
+from .arith import BoundExceededError, _check_int, _record_json, mobius
 
 # Most bits one series request may hold: its weights and denominator at one
 # 64-bit slot each, and its coefficients; 2**28 bits are 32 MiB.
@@ -118,13 +118,13 @@ class DimensionSequence:
     def pairs(self) -> list[tuple[int, int]]:
         return [(self.start + k, v) for k, v in enumerate(self.values)]
 
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "start": self.start, "values": list(self.values)}
+    to_json_dict = _record_json
 
 
-def _check_n_max(n_max: int, minimum: int = 0) -> None:
+def _check_n_max(n_max: int, minimum: int = 0, name: str = "n_max") -> None:
+    _check_int(n_max, name)
     if n_max < minimum:
-        raise ValueError(f"n_max must be >= {minimum}, got {n_max}")
+        raise ValueError(f"{name} must be >= {minimum}, got {n_max}")
 
 
 def check_series_size(n_weights: int, top_weight: int, n_max: int) -> None:
@@ -205,8 +205,7 @@ def power_sums(sig: WeightSignature, length: int) -> tuple[int, ...]:
     that rational function; everything stays in Z, no root is ever extracted
     numerically.
     """
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
+    _check_n_max(length, 1, "length")
     _check_signature_size(sig, length)
     den = sig.denominator()
     return expand_rational([-k * c for k, c in enumerate(den)], den, length).coeffs[1:]

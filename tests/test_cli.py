@@ -61,6 +61,8 @@ def test_present_and_reduce_goldens():
     assert run(["reduce", "--primes", EX1]) == (0, GOLDEN_EX1_REDUCE)
     assert run(["present", "--primes", EX2]) == (0, GOLDEN_EX2_PRESENT)
     assert run(["reduce", "--primes", EX2]) == (0, GOLDEN_EX2_REDUCE)
+    # no prime = 3 (mod 4): the product relation is all zero
+    assert run(["present", "--primes", "5,13,17"]) == (0, "r1 = [x1,x2][x1,x3]\nr2 = [x2,x1]\nr3 = [x3,x1]\nr = 1")
 
 
 def test_present_json_round_trip(tmp_path):

@@ -20,6 +20,7 @@ from mild2.linking import (
     NoEliminableGeneratorError,
     Presentation,
     QuadraticRelator,
+    ValidationReport,
     _candidate_tuples,
     augment,
     eliminate_generator,
@@ -36,11 +37,12 @@ from mild2.quadlie import (
     NcPoly,
     WeightedAlphabet,
     elimination_basis,
+    enumerate_y,
     mul,
     relator_to_poly,
     unit_alphabet,
 )
-from mild2.series import WeightSignature
+from mild2.series import WeightSignature, power_sums, strongly_free_series
 
 EX1 = (41, 13, 5, 3, 19)
 EX2 = (5, 29, 7, 11, 3)
@@ -90,6 +92,13 @@ def test_ordered_prime_set_validation():
         (augment, ((13, 3), None)),
         (augment, ((13, 3), True)),
         (legendre, (True, 7)),
+        (strongly_free_series, (WeightSignature((1, 1), (2,)), True)),
+        (strongly_free_series, (WeightSignature((1, 1), (2,)), 3.0)),
+        (power_sums, (WeightSignature((1, 1), (2,)), 3.0)),
+        (elimination_basis, (WeightedAlphabet((1, 1, 1)), (1,), 3.0)),
+        (enumerate_y, (WeightedAlphabet((1, 1, 1)), 3.0)),
+        (QuadraticRelator, (2.0, (0, 0), {(1, 2)})),
+        (Presentation, (2.0, (), (1, 0))),
     ],
 )
 def test_non_integer_input_is_refused_not_truncated(build, args):
@@ -538,6 +547,14 @@ def test_augment_asserts_its_certificate(monkeypatch):
     report = check_mild(koch_presentation((5, 13, 41, 3, 23)))
     monkeypatch.setattr(mildness, "check_mild", lambda pres: replace(report, verdict="not_shown"))
     with pytest.raises(AssertionError, match=r"candidate \(5, 13, 41, 3, 23\) is not certified mild"):
+        augment((13, 3))
+
+
+def test_augment_asserts_its_validation(monkeypatch):
+    from mild2 import linking
+
+    monkeypatch.setattr(linking, "validate_augmentation", lambda *args: ValidationReport(False, ("planted",)))
+    with pytest.raises(AssertionError, match=re.escape("candidate (5, 13, 41, 3, 23) violates ('planted',)")):
         augment((13, 3))
 
 

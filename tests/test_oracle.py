@@ -4,6 +4,7 @@ import itertools
 import random
 import re
 import tracemalloc
+from functools import partial
 
 import pytest
 
@@ -482,6 +483,15 @@ X1 = NcPoly.generator(X3, 1, F2)
         (strongly_free_oracle, ([QuadraticRelator(2, (0, 0), {(1, 2)})], 1), "the oracle needs n_max >= 2"),
         (independent_in_degree, ([X1, NcPoly.generator(X4, 1, F2)],), "polynomials live in different algebras"),
         (independent_in_degree, ([X1 + mul(X1, X1)],), "independence check needs homogeneous polynomials"),
+        (quotient_dims, (4, [P4], True), "n_max must be an int, got bool"),
+        (quotient_dims, (4, [P4], 3.0), "n_max must be an int, got float"),
+        (strongly_free_oracle, ([QuadraticRelator(2, (0, 0), {(1, 2)})], 3.0), "n_max must be an int, got float"),
+        (partial(check_mild, oracle_depth=3.0), (koch_presentation(EX1),), "oracle_depth must be an int, got float"),
+        (
+            quotient_dims,
+            (3, [X1 + mul(X1, NcPoly.generator(X3, 2, F2))], 3),
+            "degree is defined for nonzero homogeneous elements, degrees = (1, 2)",
+        ),
     ],
 )
 def test_oracle_refusals_name_the_failing_check(call, args, message):

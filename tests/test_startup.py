@@ -1,6 +1,7 @@
 """What a launch loads: `import mild2` and each CLI subcommand, every check in
 a fresh interpreter, since the test process itself has loaded everything."""
 
+import ast
 import io
 import os
 import re
@@ -167,3 +168,19 @@ def test_a_launch_prints_what_main_prints_in_process(argv):
     launched = (proc.returncode, without_times(proc.stdout), proc.stderr)
     code, out, err = in_process(argv)
     assert launched == (code, without_times(out), err)
+
+
+def test_every_imported_name_is_used_in_its_module():
+    # annotations parse as expressions, so a name used only there counts as used
+    unused = []
+    for path in sorted((SRC / "mild2").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update({alias.asname or alias.name.split(".")[0]: node.lineno for alias in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update({alias.asname or alias.name: node.lineno for alias in node.names})
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []
