@@ -26,6 +26,23 @@ one shift, so only that one table is held.  No degree reads the table of the
 last one, so the last degree is ranked, not mapped: forward elimination alone
 gives its dimension.
 
+Before the first degree is reduced the letters are relabeled.  A permutation
+of the letters is an automorphism of the free algebra; it maps the ideal of
+the relators onto the ideal of the relabeled ones, so no dim Q_n changes.
+It does permute the columns, and the column order decides which bit of a row
+is its pivot, so it decides how much fill-in elimination makes.  The
+leading words of the relators (the pivot columns of their degree-2 span)
+interact in degree 3 wherever one ends in the letter another starts with,
+and each such overlap forces reductions in every degree above; with none,
+the echelon form of the degree-2 span is already a Groebner basis of the
+ideal, as no ambiguity is left to resolve (Bergman's diamond lemma).  So
+_letter_order picks the relabeling whose degree-2 leading words overlap
+least, trying all d! orders up to d = 4 and keeping the identity above.  It
+is a cheap heuristic, not a bound: through degree 7 it cuts the XORs of
+elimination from 5883 to 642 on the first worked example and from 9101 to 0
+on the second, but on 2 of 30 random Koch sets with d = 3 or 4 it cost more
+than the identity, at worst 732 XORs against 683.
+
 The recursion also bounds each dimension from below: the rows of degree n
 are m * dim Q_{n-2}, so dim Q_n >= d * dim Q_{n-1} - m * dim Q_{n-2}, and
 therefore (Anick, J. Algebra 78, 1982) dim Q_n is at least the coefficient
@@ -45,7 +62,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, permutations
 
 from . import gf2
 from .arith import DEFAULT_MEMORY_CAP_MIB, F2, F2PI, MemoryGuardError, _check_int, _record_json
@@ -153,6 +170,39 @@ def _relator_rows(words, table, dims, n: int):
             yield row
 
 
+def _letter_order(d: int, words) -> tuple[int, ...]:
+    """The relabeling of letters 1..d (letter a becomes order[a - 1]) under
+    which the leading words of the degree-2 relator span overlap least.
+
+    Each candidate order relabels the relator words and reduces their
+    degree-2 rows, word x_a * x_b at column (b - 1) * d + (a - 1); each pivot's
+    top bit is a leading word (a, b).  An ordered pair (u, v) of leading
+    words, u = v included, whose letters meet (u ends in the letter v starts
+    with) is an overlap of degree 3, which forces reductions in every degree
+    above.  All d! orders are tried for d <= 4, in permutations() order from
+    the identity, and the first with the fewest overlaps wins; 0 stops the
+    search.  From d = 5 on the identity is kept.
+    """
+    identity = tuple(range(1, d + 1))
+    if d > 4:
+        return identity
+    best, fewest = identity, None
+    for order in permutations(identity):
+        pivots = gf2.echelon(
+            sum(1 << (order[b - 1] - 1) * d + order[a - 1] - 1 for a, b in terms) for terms in words
+        )
+        first, last = [0] * d, [0] * d
+        for top in pivots:
+            first[top % d] += 1
+            last[top // d] += 1
+        overlaps = sum(f * g for f, g in zip(first, last))
+        if fewest is None or overlaps < fewest:
+            best, fewest = order, overlaps
+            if not overlaps:
+                break
+    return best
+
+
 def quotient_dims(
     d: int,
     relators,
@@ -176,12 +226,14 @@ def quotient_dims(
     its rows are built, and crossing memory_cap_mib raises MemoryGuardError;
     the bound is first taken on Anick's floor for every degree, so a request
     it already refuses builds nothing, and so does an n_max whose profile
-    fails series.check_series_size (BoundExceededError).
-    An F2 dimension below Anick's lower bound for d letters and m relators
-    is an oracle fault and raises RuntimeError.
+    fails series.check_series_size (BoundExceededError).  Only then are the
+    letters relabeled by _letter_order, which changes the work, not the
+    dimensions.  An F2 dimension below Anick's lower bound for d letters and
+    m relators is an oracle fault and raises RuntimeError.
     """
     relators = tuple(relators)
     _check_int(n_max, "n_max")
+    _check_int(memory_cap_mib, "memory_cap_mib")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     _check_relators(unit_alphabet(d), relators, ring)
@@ -202,6 +254,9 @@ def quotient_dims(
         floor.append(bound)
     # a floor that reaches 0 refuses no degree; this bounds n_max all the same
     check_series_size(d + m, 2, n_max)
+    # a relabeling leaves every dimension as it is and sets the column order
+    order = _letter_order(d, words)
+    words = [[(order[a - 1], order[b - 1]) for a, b in terms] for terms in words]
     floor = list(_anick_floor(d, m, n_max))
     dims = [1]
     table: list[int] = []

@@ -73,6 +73,7 @@ class WeightedAlphabet:
 
 def unit_alphabet(d: int) -> WeightedAlphabet:
     """Alphabet of d letters, all of weight 1."""
+    _check_int(d, "d")
     return WeightedAlphabet((1,) * d)
 
 
@@ -393,6 +394,7 @@ def _y_count_terms(alphabet: WeightedAlphabet, n_max: int) -> Counter:
 
 def y_count_poly(alphabet: WeightedAlphabet, n_max: int) -> list[int]:
     """Coefficients through t**n_max of the polynomial counting enumerate_y per degree."""
+    _check_int(n_max, "n_max")
     terms = _y_count_terms(alphabet, n_max)
     return [terms[n] for n in range(n_max + 1)]
 

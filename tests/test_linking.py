@@ -41,6 +41,7 @@ from mild2.quadlie import (
     mul,
     relator_to_poly,
     unit_alphabet,
+    y_count_poly,
 )
 from mild2.series import WeightSignature, power_sums, strongly_free_series
 
@@ -99,6 +100,8 @@ def test_ordered_prime_set_validation():
         (enumerate_y, (WeightedAlphabet((1, 1, 1)), 3.0)),
         (QuadraticRelator, (2.0, (0, 0), {(1, 2)})),
         (Presentation, (2.0, (), (1, 0))),
+        (unit_alphabet, (2.0,)),
+        (y_count_poly, (WeightedAlphabet((1, 1, 1)), 3.0)),
     ],
 )
 def test_non_integer_input_is_refused_not_truncated(build, args):

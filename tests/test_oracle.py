@@ -345,11 +345,71 @@ def test_anicks_floor_is_the_series_up_to_its_first_nonpositive_coefficient():
 
 @pytest.mark.parametrize("n_max, cap, degree, mib", [(13, 1024, 12, 1375), (9, 2, 8, 4), (8, 1, 8, 2)])
 def test_a_request_refused_on_anicks_floor_builds_no_row(monkeypatch, n_max, cap, degree, mib):
-    built = []
+    built, eliminated = [], []
     monkeypatch.setattr(oracle, "_relator_rows", lambda words, table, dims, n: built.append(n) or iter(()))
+    # the letter-order probe eliminates too, so it must come after the refusal
+    monkeypatch.setattr(gf2, "echelon", lambda rows: eliminated.append(rows) or {})
     with pytest.raises(MemoryGuardError, match=f"^degree {degree} needs about {mib} MiB of rows"):
         quotient_dims(4, reduced_polys(EX1), n_max, memory_cap_mib=cap)
-    assert built == []
+    assert built == eliminated == []
+
+
+def relabeled(polys, order):
+    """The polynomials with letter a renamed order[a - 1]."""
+    return [
+        NcPoly(p.alphabet, p.ring, {(k, tuple(order[a - 1] for a in word)) for k, word in p.terms})
+        for p in polys
+    ]
+
+
+def degree_three_overlaps(d, polys, order):
+    """Ordered pairs (u, v), u = v included, of leading words of the
+    relabeled degree-2 span with u's last letter v's first.  The leading
+    words are the top columns of every nonzero sum of relators (word x_a x_b
+    at column (b - 1) * d + (a - 1)), found without elimination."""
+    rows = [sum(1 << (b - 1) * d + a - 1 for _, (a, b) in p.terms) for p in relabeled(polys, order)]
+    sums = {0}
+    for row in rows:
+        sums |= {row ^ other for other in sums}
+    leading = {((top - 1) % d + 1, (top - 1) // d + 1) for top in map(int.bit_length, sums - {0})}
+    return sum(u[1] == v[0] for u in leading for v in leading)
+
+
+def test_every_letter_order_gives_the_same_profile_on_random_relators(monkeypatch):
+    rng = random.Random(25)
+    letter_order = oracle._letter_order
+    for d, trials, n_max in ((2, 6, 6), (3, 6, 5), (4, 6, 5), (5, 5, 4), (6, 5, 4), (7, 1, 3)):
+        for trial in range(trials):
+            polys = random_relators(rng, d, F2)
+            identity = tuple(range(1, d + 1))
+            # the probe takes the first order of fewest overlaps, so never more
+            # than the identity's, and keeps the identity from d = 5 on
+            chosen = letter_order(d, [[word for _, word in p.terms] for p in polys])
+            if d <= 4:
+                orders = list(itertools.permutations(identity))
+                counts = [degree_three_overlaps(d, polys, order) for order in orders]
+                assert chosen == orders[counts.index(min(counts))], (d, trial)
+            else:
+                orders = [tuple(rng.sample(identity, d)) for _ in range(8)]
+                assert chosen == identity
+            for ring in (F2, F2PI):
+                in_ring = [NcPoly(unit_alphabet(d), ring, p.terms) for p in polys]
+                expected = quotient_dims(d, in_ring, n_max, ring)
+                for order in orders:
+                    # a relabeled input, reduced under the order its own probe picks
+                    assert quotient_dims(d, relabeled(in_ring, order), n_max, ring) == expected, (d, trial, order)
+                    # the input itself, reduced under this order
+                    monkeypatch.setattr(oracle, "_letter_order", lambda d, words, order=order: order)
+                    assert quotient_dims(d, in_ring, n_max, ring) == expected, (d, trial, order)
+                    monkeypatch.setattr(oracle, "_letter_order", letter_order)
+
+
+def test_letter_order_keeps_the_identity_from_five_letters():
+    # x1 x2 + x2 x2 leads with x2 x2, which overlaps itself; with x1 and x2
+    # swapped x2 x1 leads, which does not
+    words = [[(1, 2), (2, 2)]]
+    assert oracle._letter_order(4, words) == (2, 1, 3, 4)
+    assert oracle._letter_order(5, words) == (1, 2, 3, 4, 5)
 
 
 def pi_span_reference(d, polys, n_max, ring):
@@ -452,6 +512,12 @@ def test_degree_eight_certificate(primes):
     assert cmp.match and cmp.oracle_dims[-2:] == (1024, 2304)
 
 
+@pytest.mark.parametrize("primes", [EX1, EX2])
+def test_degree_ten_certificate(primes):
+    cmp = strongly_free_oracle(reduced(primes), 10)
+    assert cmp.match and cmp.oracle_dims[-2:] == (5120, 11264)
+
+
 def test_strongly_free_oracle_negative_control():
     control = (
         QuadraticRelator(2, (1, 0), frozenset()),
@@ -491,6 +557,14 @@ X1 = NcPoly.generator(X3, 1, F2)
             quotient_dims,
             (3, [X1 + mul(X1, NcPoly.generator(X3, 2, F2))], 3),
             "degree is defined for nonzero homogeneous elements, degrees = (1, 2)",
+        ),
+        (quotient_dims, (4.0, [P4], 3), "d must be an int, got float"),
+        (partial(quotient_dims, memory_cap_mib=True), (4, [P4], 3), "memory_cap_mib must be an int, got bool"),
+        (partial(quotient_dims, memory_cap_mib=1.5), (4, [P4], 3), "memory_cap_mib must be an int, got float"),
+        (
+            partial(strongly_free_oracle, memory_cap_mib=1.5),
+            ([QuadraticRelator(2, (0, 0), {(1, 2)})], 3),
+            "memory_cap_mib must be an int, got float",
         ),
     ],
 )
