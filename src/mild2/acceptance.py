@@ -1,10 +1,11 @@
 """Acceptance checks: one callable per criterion, shared by the selftest
 subcommand and the test suite.
 
-Each criterion returns a CriterionResult with a pass/fail flag and a detail
-string; run_all prints one line per criterion.  Expected values are frozen
-here byte-for-byte (relator texts) or number-for-number (dimension tables),
-together with the runtime bounds the checks must meet.
+Each criterion, declared with _criterion, returns a CriterionResult with a
+pass/fail flag and a detail string; run_all prints one line per criterion.
+Expected values are frozen here byte-for-byte (relator texts) or
+number-for-number (dimension tables); each runtime bound sits at its
+criterion's declaration.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import io
 import itertools
 import random
 import time
+from collections.abc import Callable
 from contextlib import redirect_stdout
 from dataclasses import dataclass
 
@@ -114,10 +116,6 @@ def run_cli(argv: list[str]) -> tuple[int, str]:
     return code, buffer.getvalue().rstrip("\n")
 
 
-def _result(number, name, started, ok, detail="") -> CriterionResult:
-    return CriterionResult(number, name, ok, detail, time.perf_counter() - started)
-
-
 def _expect(found, expected, label: str) -> str:
     return "" if found == expected else f"{label}: expected {expected!r}, got {found!r}; "
 
@@ -132,23 +130,43 @@ def _time_limit(label: str, started: float, limit: int) -> str:
     return f"{label} {seconds:.{2 if limit < 10 else 1}f}s >= {limit}s; "
 
 
-def _present_reduce(number: int, primes: str, present: str, reduced: str) -> CriterionResult:
-    started = time.perf_counter()
+CRITERIA: list[Callable[[], CriterionResult]] = []
+
+
+def _criterion(number: int, limit: int | None = None):
+    """Declare criterion `number`, to fail at `limit` seconds if one is given.
+
+    The body returns its name and its problem text ('' when it passes).  The
+    decorated criterion is appended to CRITERIA; it times the body, adds the
+    runtime-limit problem and returns the CriterionResult."""
+
+    def register(body: Callable[[], tuple[str, str]]) -> Callable[[], CriterionResult]:
+        def check() -> CriterionResult:
+            started = time.perf_counter()
+            name, problems = body()
+            if limit is not None:
+                problems += _time_limit("runtime", started, limit)
+            return CriterionResult(number, name, not problems, problems, time.perf_counter() - started)
+
+        # the name it is bound to in this module, which test ids also show
+        check.__name__ = check.__qualname__ = f"criterion_{number}"
+        CRITERIA.append(check)
+        return check
+
+    return register
+
+
+def _present_reduce(primes: str, present: str, reduced: str) -> tuple[str, str]:
     problems = ""
     for command, golden in (("present", present), ("reduce", reduced)):
         code, out = run_cli([command, "--primes", primes])
         problems += _expect(code, 0, f"{command} exit")
         problems += _expect(out, golden, f"{command} text")
-    problems += _time_limit("runtime", started, 1)
-    return _result(number, f"present/reduce --primes {primes} byte-exact", started, not problems, problems)
+    return f"present/reduce --primes {primes} byte-exact", problems
 
 
-def criterion_1() -> CriterionResult:
-    return _present_reduce(1, EX1_PRIMES, GOLDEN_EX1_PRESENT, GOLDEN_EX1_REDUCE)
-
-
-def criterion_2() -> CriterionResult:
-    return _present_reduce(2, EX2_PRIMES, GOLDEN_EX2_PRESENT, GOLDEN_EX2_REDUCE)
+criterion_1 = _criterion(1, limit=1)(lambda: _present_reduce(EX1_PRIMES, GOLDEN_EX1_PRESENT, GOLDEN_EX1_REDUCE))
+criterion_2 = _criterion(2, limit=1)(lambda: _present_reduce(EX2_PRIMES, GOLDEN_EX2_PRESENT, GOLDEN_EX2_REDUCE))
 
 
 def _circuit_instance(d: int) -> list[QuadraticRelator]:
@@ -160,8 +178,8 @@ def _circuit_instance(d: int) -> list[QuadraticRelator]:
     return relators
 
 
-def criterion_3() -> CriterionResult:
-    started = time.perf_counter()
+@_criterion(3, limit=3)
+def criterion_3() -> tuple[str, str]:
     problems = ""
     rep1 = check_mild(koch_presentation((41, 13, 5, 3, 19)))
     problems += _expect((rep1.verdict, rep1.criterion), ("mild", "circuit"), "example 1")
@@ -171,12 +189,11 @@ def criterion_3() -> CriterionResult:
     for d in (4, 6):
         rep = check_mild(Presentation(d, tuple(_circuit_instance(d))))
         problems += _expect((rep.verdict, rep.criterion), ("mild", "circuit"), f"cycle d={d}")
-    problems += _time_limit("runtime", started, 3)
-    return _result(3, "mild verdicts (circuit, rank with Sp={3,4}, cycles d=4,6)", started, not problems, problems)
+    return "mild verdicts (circuit, rank with Sp={3,4}, cycles d=4,6)", problems
 
 
-def criterion_4() -> CriterionResult:
-    started = time.perf_counter()
+@_criterion(4)
+def criterion_4() -> tuple[str, str]:
     problems = ""
     for primes in ((41, 13, 5, 3, 19), (5, 29, 7, 11, 3)):
         relators = eliminate_generator(koch_presentation(primes)).relators
@@ -196,11 +213,11 @@ def criterion_4() -> CriterionResult:
     problems += _expect(cmp7.oracle_dims, F2_DIMS_0_TO_6 + (F2_DIM_7,), "F2 dims deg<=7")
     problems += _expect(cmp7.match, True, "F2 match deg<=7")
     problems += _time_limit("F2 degree-7 oracle took", t0, 120)
-    return _result(4, "oracle dims match series (F2 deg<=7, F2pi deg<=5, cap 1 GiB)", started, not problems, problems)
+    return "oracle dims match series (F2 deg<=7, F2pi deg<=5, cap 1 GiB)", problems
 
 
-def criterion_5() -> CriterionResult:
-    started = time.perf_counter()
+@_criterion(5)
+def criterion_5() -> tuple[str, str]:
     problems = ""
     control = (
         QuadraticRelator(2, (1, 0), frozenset()),
@@ -211,11 +228,11 @@ def criterion_5() -> CriterionResult:
     problems += _expect(cmp.mismatch_degree, 3, "mismatch degree")
     problems += _expect(cmp.oracle_dims[3], 2, "oracle dim at 3")
     problems += _expect(cmp.expected_dims[3], 0, "series dim at 3")
-    return _result(5, "negative control {x1^2, [x1,x2]}: no partition, oracle refutes", started, not problems, problems)
+    return "negative control {x1^2, [x1,x2]}: no partition, oracle refutes", problems
 
 
-def criterion_6() -> CriterionResult:
-    started = time.perf_counter()
+@_criterion(6, limit=5)
+def criterion_6() -> tuple[str, str]:
     problems = ""
     sig44 = WeightSignature((1, 1, 1, 1), (2, 2, 2, 2))
     problems += _expect(strongly_free_series(sig44, 6).coeffs, F2_DIMS_0_TO_6, "series d=4,m=4")
@@ -235,8 +252,7 @@ def criterion_6() -> CriterionResult:
                     problems += f"product identity fails for e={sig.e}, h={sig.h}; "
     if checked < 10:
         problems += f"only {checked} signatures admitted the product identity check; "
-    problems += _time_limit("runtime", started, 5)
-    return _result(6, f"series values and product identity to degree 10 ({checked} signatures)", started, not problems, problems)
+    return f"series values and product identity to degree 10 ({checked} signatures)", problems
 
 
 def _weight_corpus() -> list[WeightedAlphabet]:
@@ -247,8 +263,8 @@ def _weight_corpus() -> list[WeightedAlphabet]:
     return out
 
 
-def criterion_7() -> CriterionResult:
-    started = time.perf_counter()
+@_criterion(7, limit=30)
+def criterion_7() -> tuple[str, str]:
     problems = ""
     for alphabet in _weight_corpus():
         grouped = enumerate_y(alphabet, 6)
@@ -280,12 +296,11 @@ def criterion_7() -> CriterionResult:
                     problems += (
                         f"weights {alphabet.weights} sigma {sigma} degree {deg}: dependent; "
                     )
-    problems += _time_limit("runtime", started, 30)
-    return _result(7, "basis counts match the generating function; images independent", started, not problems, problems)
+    return "basis counts match the generating function; images independent", problems
 
 
-def criterion_8() -> CriterionResult:
-    started = time.perf_counter()
+@_criterion(8, limit=10)
+def criterion_8() -> tuple[str, str]:
     problems = ""
     witness = validate_augmentation((13, 3), (41, 5), 19)
     problems += _expect(witness.ok, True, f"validate (41,5),19 {witness.violations}")
@@ -301,12 +316,11 @@ def criterion_8() -> CriterionResult:
     problems += _expect(check.ok, True, f"result validation {check.violations}")
     verdict = check_mild(koch_presentation(first.S)).verdict
     problems += _expect(verdict, "mild", "result mildness")
-    problems += _time_limit("runtime", started, 10)
-    return _result(8, "augment seed (13,3) deterministic, validated, mild", started, not problems, problems)
+    return "augment seed (13,3) deterministic, validated, mild", problems
 
 
-def criterion_9() -> CriterionResult:
-    started = time.perf_counter()
+@_criterion(9, limit=30)
+def criterion_9() -> tuple[str, str]:
     problems = ""
     rng = random.Random(20260814)
     alphabet = unit_alphabet(4)
@@ -361,29 +375,14 @@ def criterion_9() -> CriterionResult:
         sign = -1 if (p % 4 == 3 and q % 4 == 3) else 1
         if legendre(p, q) * legendre(q, p) != sign:
             problems += f"reciprocity fails for ({p}, {q}); "
-    problems += _time_limit("runtime", started, 30)
-    return _result(9, "identity suites: 1000 cases each + residue symbol cross-checks", started, not problems, problems)
+    return "identity suites: 1000 cases each + residue symbol cross-checks", problems
 
 
-CRITERIA = (
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-)
-
-
-def run_all(stream=None) -> bool:
-    """Run every criterion, print one line each, return overall success."""
+def run_all(stream) -> bool:
+    """Run every criterion, print one line each to stream, return overall success."""
     all_ok = True
     for check in CRITERIA:
         result = check()
         all_ok &= result.ok
-        if stream is not None:
-            print(result.line(), file=stream)
+        print(result.line(), file=stream)
     return all_ok

@@ -234,6 +234,8 @@ def quotient_dims(
     relators = tuple(relators)
     _check_int(n_max, "n_max")
     _check_int(memory_cap_mib, "memory_cap_mib")
+    if memory_cap_mib < 1:
+        raise ValueError(f"memory_cap_mib must be >= 1, got {memory_cap_mib}")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     _check_relators(unit_alphabet(d), relators, ring)

@@ -269,6 +269,8 @@ def zassenhaus_dims(d: int, m: int, n_max: int) -> DimensionSequence:
     it has been divided by (1 + t**k)**a_k for every k < n, its coefficient
     n is a_n.  Raises NonRealizableError on a negative a_n.
     """
+    _check_int(d, "d")
+    _check_int(m, "m")
     if d < 1 or m < 0:
         raise ValueError(f"need d >= 1 and m >= 0, got d = {d}, m = {m}")
     _check_n_max(n_max, 1)

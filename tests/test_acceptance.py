@@ -4,11 +4,12 @@ Run with -s (or read the captured output) to see the lines.
 """
 
 import itertools
+import sys
 from types import SimpleNamespace
 
 import pytest
 
-from mild2 import acceptance
+from mild2 import acceptance, cli
 
 
 @pytest.mark.parametrize(
@@ -22,16 +23,28 @@ def test_acceptance_criterion(criterion):
     assert result.ok, result.detail
 
 
-def test_run_all_aggregates(capsys):
-    # the programmatic entry point used by the selftest subcommand
-    import sys
+def test_registry_lists_the_nine_criteria_in_order():
+    names = [f"criterion_{k}" for k in range(1, 10)]
+    assert [check.__name__ for check in acceptance.CRITERIA] == names
+    assert acceptance.CRITERIA == [getattr(acceptance, name) for name in names]
 
-    ok = acceptance.run_all(stream=sys.stdout)
-    captured = capsys.readouterr()
-    lines = [ln for ln in captured.out.splitlines() if ln]
-    assert ok is True
-    assert len(lines) == 9
-    assert all(line.startswith("PASS criterion") for line in lines)
+
+def test_run_all_aggregates(monkeypatch, capsys):
+    # three stub criteria, the second failing: one line each, in order, and
+    # one failure fails run_all and the selftest subcommand
+    def stub(number, detail):
+        return lambda: acceptance.CriterionResult(number, f"stub {number}", not detail, detail, 0.0)
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [stub(1, ""), stub(2, "broken; "), stub(3, "")])
+    lines = [
+        "PASS criterion 1: stub 1 (0.00s) ",
+        "FAIL criterion 2: stub 2 (0.00s) broken; ",
+        "PASS criterion 3: stub 3 (0.00s) ",
+    ]
+    assert acceptance.run_all(sys.stdout) is False
+    assert capsys.readouterr().out.splitlines() == lines
+    assert cli.main(["selftest"]) == 1
+    assert capsys.readouterr().out.splitlines() == lines
 
 
 # criterion 4's FAIL texts past its 10 s, 60 s and 120 s limits; {s} is the seconds shown

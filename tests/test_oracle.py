@@ -566,6 +566,12 @@ X1 = NcPoly.generator(X3, 1, F2)
             ([QuadraticRelator(2, (0, 0), {(1, 2)})], 3),
             "memory_cap_mib must be an int, got float",
         ),
+        (partial(quotient_dims, memory_cap_mib=0), (4, [P4], 3), "memory_cap_mib must be >= 1, got 0"),
+        (
+            partial(strongly_free_oracle, memory_cap_mib=-3),
+            ([QuadraticRelator(2, (0, 0), {(1, 2)})], 3),
+            "memory_cap_mib must be >= 1, got -3",
+        ),
     ],
 )
 def test_oracle_refusals_name_the_failing_check(call, args, message):

@@ -54,6 +54,9 @@ def test_expand_rational_requires_unit_constant_term():
         (IntSeries, ((),), "a series carries at least its constant term"),
         (power_sums, (WeightSignature((1, 1)), 0), "length must be >= 1, got 0"),
         (zassenhaus_dims, (0, 1, 3), "need d >= 1 and m >= 0, got d = 0, m = 1"),
+        (zassenhaus_dims, (True, 0, 3), "d must be an int, got bool"),
+        (zassenhaus_dims, (2.0, 1, 3), "d must be an int, got float"),
+        (zassenhaus_dims, (4, 1.0, 3), "m must be an int, got float"),
     ],
 )
 def test_series_refusals_name_the_failing_check(call, args, message):

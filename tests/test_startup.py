@@ -95,6 +95,19 @@ print(*mild2.__all__)
     assert set(loaded.split()) == {"mild2", "arith", "linking", "mildness", "gf2", "oracle", "quadlie", "series"}
 
 
+def test_dir_lists_every_public_name_and_loads_nothing():
+    assert len(mild2.__all__) == 15 and set(mild2.__all__) <= set(dir(mild2))
+    check = f"""
+import sys, mild2
+names = dir(mild2)
+print(all(name in names for name in mild2.__all__))
+{LOADED}
+"""
+    proc = child("-c", check)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["True", "mild2"]
+
+
 def test_an_unknown_package_attribute_raises_and_loads_nothing():
     check = f"""
 import sys, mild2
