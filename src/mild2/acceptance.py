@@ -16,10 +16,9 @@ import random
 import time
 from collections.abc import Callable
 from contextlib import redirect_stdout
-from dataclasses import dataclass
 
 from . import cli
-from .arith import legendre
+from .arith import _Record, legendre
 from .linking import (
     Presentation,
     QuadraticRelator,
@@ -95,13 +94,11 @@ F2_DIM_7 = 1024
 F2PI_DIMS_0_TO_5 = (1, 5, 17, 49, 129, 321)
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    number: int
-    name: str
-    ok: bool
-    detail: str
-    seconds: float
+class CriterionResult(_Record):
+    _fields = ("number", "name", "ok", "detail", "seconds")
+
+    def __init__(self, number: int, name: str, ok: bool, detail: str, seconds: float):
+        self.__dict__.update(number=number, name=name, ok=ok, detail=detail, seconds=seconds)
 
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"

@@ -6,7 +6,8 @@ randomized primality answer.  Inputs are restricted to the 64-bit range.
 
 This leaf module also defines the defaults, ring names and guard errors that
 the command-line parser shares with the other modules: every CLI launch
-loads it, so the parser needs no other module to build its flags.
+loads it, so the parser needs no other module to build its flags.  The base
+class and the JSON rule of the result records live here too.
 """
 
 from __future__ import annotations
@@ -49,19 +50,52 @@ def _check_range(n: int, name: str = "n") -> None:
         raise ValueError(f"{name} = {n} exceeds the supported 64-bit range")
 
 
+class _Record:
+    """Base of the frozen result records: value equality within one class, a
+    hash over the field values and the repr Name(field=value, ...), all read
+    from _fields, the field names in declaration order.
+
+    Each record writes its own __init__, which validates and then sets every
+    field at once through self.__dict__.  Plain classes rather than
+    dataclasses spare every launch the import of dataclasses (and inspect)
+    and the code generated per class; instances keep a __dict__ so that a
+    cached_property can store into it."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {self.__class__.__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen {self.__class__.__name__}")
+
+
 def _record_json(record) -> dict:
-    """JSON object of a result record: its dataclass fields in declaration
-    order, tuples as arrays, and nested records in their own JSON form.
-    Records bind it as their to_json_dict.  It reads __dataclass_fields__
-    (so a record declares no ClassVar), which spares this module, loaded by
-    every launch, the import of dataclasses."""
+    """JSON object of a result record: its _fields in declaration order,
+    tuples as arrays, and nested records in their own JSON form.  Records
+    bind it as their to_json_dict."""
 
     def value(v):
         if isinstance(v, tuple):
             return [value(x) for x in v]
         return v.to_json_dict() if hasattr(v, "to_json_dict") else v
 
-    return {name: value(getattr(record, name)) for name in record.__dataclass_fields__}
+    return {name: value(getattr(record, name)) for name in record._fields}
 
 
 def is_prime(n: int) -> bool:

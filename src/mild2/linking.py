@@ -29,11 +29,18 @@ crossing commutator, whose column bit goes into the relator's row.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 from .arith import (
-    DEFAULT_PRIME_BOUND, BoundExceededError, _check_int, _check_range, _record_json, check_odd_prime, is_prime, legendre
+    DEFAULT_PRIME_BOUND,
+    BoundExceededError,
+    _check_int,
+    _check_range,
+    _Record,
+    _record_json,
+    check_odd_prime,
+    is_prime,
+    legendre,
 )
 
 
@@ -53,13 +60,13 @@ def ordered_prime_set(primes) -> tuple[int, ...]:
     return out
 
 
-@dataclass(frozen=True)
-class LinkingData:
+class LinkingData(_Record):
     """Square classes a and linking matrix ell of an ordered odd prime set."""
 
-    primes: tuple[int, ...]
-    a: tuple[int, ...]
-    ell: tuple[tuple[int, ...], ...]
+    _fields = ("primes", "a", "ell")
+
+    def __init__(self, primes: tuple[int, ...], a: tuple[int, ...], ell: tuple[tuple[int, ...], ...]):
+        self.__dict__.update(primes=primes, a=a, ell=ell)
 
     @property
     def d(self) -> int:
@@ -95,35 +102,30 @@ def linking_data(primes) -> LinkingData:
     return LinkingData(ps, a, ell)
 
 
-@dataclass(frozen=True)
-class QuadraticRelator:
+class QuadraticRelator(_Record):
     """Degree-2 initial form: squares vector plus a set of commutator pairs.
 
     comms holds pairs (i, j) with i < j, 1-based; owner tags the generator the
     relator belongs to in a presentation, when there is one.
     """
 
-    d: int
-    squares: tuple[int, ...]
-    comms: frozenset
-    owner: int | None = None
+    _fields = ("d", "squares", "comms", "owner")
 
-    def __post_init__(self):
-        _check_int(self.d, "d")
-        object.__setattr__(self, "squares", tuple(self.squares))
-        object.__setattr__(
-            self, "comms", frozenset((min(i, j), max(i, j)) for i, j in self.comms)
-        )
-        if len(self.squares) != self.d:
-            raise ValueError(f"squares vector has length {len(self.squares)}, expected {self.d}")
+    def __init__(self, d: int, squares: tuple[int, ...], comms: frozenset, owner: int | None = None):
+        _check_int(d, "d")
+        squares = tuple(squares)
+        comms = frozenset((min(i, j), max(i, j)) for i, j in comms)
+        if len(squares) != d:
+            raise ValueError(f"squares vector has length {len(squares)}, expected {d}")
         # type() rather than int(): 0.6 must not pass as 0, nor True as 1
-        if any(type(b) is not int or b not in (0, 1) for b in self.squares):
+        if any(type(b) is not int or b not in (0, 1) for b in squares):
             raise ValueError("squares entries must be the integers 0 or 1")
-        for i, j in self.comms:
-            if type(i) is not int or type(j) is not int or not (1 <= i < j <= self.d):
-                raise ValueError(f"commutator pair ({i}, {j}) out of range for d = {self.d}")
-        if self.owner is not None and (type(self.owner) is not int or not 1 <= self.owner <= self.d):
-            raise ValueError(f"owner {self.owner} out of range 1..{self.d}")
+        for i, j in comms:
+            if type(i) is not int or type(j) is not int or not (1 <= i < j <= d):
+                raise ValueError(f"commutator pair ({i}, {j}) out of range for d = {d}")
+        if owner is not None and (type(owner) is not int or not 1 <= owner <= d):
+            raise ValueError(f"owner {owner} out of range 1..{d}")
+        self.__dict__.update(d=d, squares=squares, comms=comms, owner=owner)
 
     @property
     def is_zero(self) -> bool:
@@ -174,39 +176,44 @@ class QuadraticRelator:
         }
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(_Record):
     """Relators over generators x1..xd, with an optional product relation.
 
     product_relation is the exponent vector of prod xi^(a_i); primes records
     the source primes and history the eliminations performed.
     """
 
-    d: int
-    relators: tuple[QuadraticRelator, ...]
-    product_relation: tuple[int, ...] | None = None
-    primes: tuple[int, ...] | None = None
-    history: tuple[str, ...] = ()
+    _fields = ("d", "relators", "product_relation", "primes", "history")
 
-    def __post_init__(self):
-        _check_int(self.d, "d")
-        object.__setattr__(self, "relators", tuple(self.relators))
-        if self.product_relation is not None:
-            object.__setattr__(self, "product_relation", tuple(self.product_relation))
-            if len(self.product_relation) != self.d:
+    def __init__(
+        self,
+        d: int,
+        relators: tuple[QuadraticRelator, ...],
+        product_relation: tuple[int, ...] | None = None,
+        primes: tuple[int, ...] | None = None,
+        history: tuple[str, ...] = (),
+    ):
+        _check_int(d, "d")
+        relators = tuple(relators)
+        if product_relation is not None:
+            product_relation = tuple(product_relation)
+            if len(product_relation) != d:
                 raise ValueError("product relation length does not match generator count")
-            if any(type(b) is not int or b not in (0, 1) for b in self.product_relation):
+            if any(type(b) is not int or b not in (0, 1) for b in product_relation):
                 raise ValueError("product relation entries must be the integers 0 or 1")
-        if self.primes is not None:
-            object.__setattr__(self, "primes", tuple(self.primes))
-            if len(self.primes) != self.d:
+        if primes is not None:
+            primes = tuple(primes)
+            if len(primes) != d:
                 raise ValueError("primes length does not match generator count")
-        for rel in self.relators:
-            if rel.d != self.d:
-                raise ValueError(f"relator on {rel.d} generators in a presentation with d = {self.d}")
-        owners = [r.owner for r in self.relators if r.owner is not None]
+        for rel in relators:
+            if rel.d != d:
+                raise ValueError(f"relator on {rel.d} generators in a presentation with d = {d}")
+        owners = [r.owner for r in relators if r.owner is not None]
         if len(set(owners)) != len(owners):
             raise ValueError(f"owner tags must be distinct, got {owners}")
+        self.__dict__.update(
+            d=d, relators=relators, product_relation=product_relation, primes=primes, history=history
+        )
 
     def _label(self, i: int) -> str:
         return f"r{i}" + "'" * len(self.history)
@@ -396,10 +403,11 @@ def _relator_one_vanishes(s0, q1: int) -> bool:
     return all(_nonsquare(q1, p) == (p % 4 == 3) for p in s0)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[str, ...] = ()
+class ValidationReport(_Record):
+    _fields = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: tuple[str, ...] = ()):
+        self.__dict__.update(ok=ok, violations=violations)
 
 
 def validate_augmentation(s0, q_aux, q_last: int) -> ValidationReport:
@@ -460,13 +468,11 @@ def interleave(s0, q_aux, q_last: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class AugmentationResult:
-    seed: tuple[int, ...]
-    q_aux: tuple[int, ...]
-    q_last: int
-    S: tuple[int, ...]
-    attempts: int
+class AugmentationResult(_Record):
+    _fields = ("seed", "q_aux", "q_last", "S", "attempts")
+
+    def __init__(self, seed: tuple[int, ...], q_aux: tuple[int, ...], q_last: int, S: tuple[int, ...], attempts: int):
+        self.__dict__.update(seed=seed, q_aux=q_aux, q_last=q_last, S=S, attempts=attempts)
 
     to_json_dict = _record_json
 

@@ -21,21 +21,21 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from . import gf2
-from .arith import DEFAULT_MEMORY_CAP_MIB, F2, BoundExceededError, _check_int, _record_json
+from .arith import DEFAULT_MEMORY_CAP_MIB, F2, BoundExceededError, _check_int, _Record, _record_json
 from .linking import Presentation, eliminate_generator
 
 MAX_ENUMERATION_D = 20
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Record):
     """Two ascending blocks of the generators 1..d, stored as given; rank_criterion checks them."""
 
-    S: tuple[int, ...]
-    Sp: tuple[int, ...]
+    _fields = ("S", "Sp")
+
+    def __init__(self, S: tuple[int, ...], Sp: tuple[int, ...]):
+        self.__dict__.update(S=S, Sp=Sp)
 
     to_json_dict = _record_json
 
@@ -154,19 +154,21 @@ def find_mild_partition(relators) -> Partition | None:
     return None
 
 
-@dataclass(frozen=True)
-class MildnessReport:
+class MildnessReport(_Record):
     """Outcome of the mildness pipeline.
 
     verdict: 'mild', 'not_shown' or 'inapplicable'; criterion: 'circuit',
     'rank' or 'none'; witness: the certifying partition when there is one.
     """
 
-    verdict: str
-    criterion: str
-    witness: Partition | None
-    oracle_depth: int | None
-    notes: tuple[str, ...]
+    _fields = ("verdict", "criterion", "witness", "oracle_depth", "notes")
+
+    def __init__(
+        self, verdict: str, criterion: str, witness: Partition | None, oracle_depth: int | None, notes: tuple[str, ...]
+    ):
+        self.__dict__.update(
+            verdict=verdict, criterion=criterion, witness=witness, oracle_depth=oracle_depth, notes=notes
+        )
 
     to_json_dict = _record_json
 
@@ -196,7 +198,10 @@ def check_mild(
     is recorded in the notes.
     """
     if oracle_depth is not None:
+        # refused before the partition search, which can take seconds
         _check_int(oracle_depth, "oracle_depth")
+        if oracle_depth < 2:
+            raise ValueError(f"oracle_depth must be >= 2, got {oracle_depth}")
     notes: list[str] = []
     pres = presentation
     if pres.product_relation is not None and any(pres.product_relation):

@@ -61,29 +61,28 @@ of the F2 one, and no F2[pi] matrix is ever built.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from itertools import accumulate, permutations
 
 from . import gf2
-from .arith import DEFAULT_MEMORY_CAP_MIB, F2, F2PI, MemoryGuardError, _check_int, _record_json
+from .arith import DEFAULT_MEMORY_CAP_MIB, F2, F2PI, MemoryGuardError, _check_int, _Record, _record_json
 from .quadlie import relator_to_poly, unit_alphabet
 from .series import DimensionSequence, WeightSignature, check_series_size, gamma_series, strongly_free_series
 
 
-@dataclass(frozen=True)
-class DegreeRank:
-    degree: int
-    ambient: int
-    rank: int
-    quotient: int
+class DegreeRank(_Record):
+    _fields = ("degree", "ambient", "rank", "quotient")
+
+    def __init__(self, degree: int, ambient: int, rank: int, quotient: int):
+        self.__dict__.update(degree=degree, ambient=ambient, rank=rank, quotient=quotient)
 
     to_json_dict = _record_json
 
 
-@dataclass(frozen=True)
-class RankProfile:
-    ring: str
-    per_degree: tuple[DegreeRank, ...]
+class RankProfile(_Record):
+    _fields = ("ring", "per_degree")
+
+    def __init__(self, ring: str, per_degree: tuple[DegreeRank, ...]):
+        self.__dict__.update(ring=ring, per_degree=per_degree)
 
     def dims(self) -> DimensionSequence:
         return DimensionSequence(
@@ -307,15 +306,28 @@ def independent_in_degree(polys) -> int:
     return gf2.rank(sum(bit[mono] for mono in p.terms) for p in nonzero)
 
 
-@dataclass(frozen=True)
-class OracleComparison:
-    ring: str
-    n_max: int
-    oracle_dims: tuple[int, ...]
-    expected_dims: tuple[int, ...]
-    match: bool
-    mismatch_degree: int | None
-    profile: RankProfile
+class OracleComparison(_Record):
+    _fields = ("ring", "n_max", "oracle_dims", "expected_dims", "match", "mismatch_degree", "profile")
+
+    def __init__(
+        self,
+        ring: str,
+        n_max: int,
+        oracle_dims: tuple[int, ...],
+        expected_dims: tuple[int, ...],
+        match: bool,
+        mismatch_degree: int | None,
+        profile: RankProfile,
+    ):
+        self.__dict__.update(
+            ring=ring,
+            n_max=n_max,
+            oracle_dims=oracle_dims,
+            expected_dims=expected_dims,
+            match=match,
+            mismatch_degree=mismatch_degree,
+            profile=profile,
+        )
 
     to_json_dict = _record_json
 

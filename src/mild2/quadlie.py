@@ -24,34 +24,33 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from math import comb
 from typing import Union
 
-from .arith import F2, F2PI, RINGS, BoundExceededError, _check_int
+from .arith import F2, F2PI, RINGS, BoundExceededError, _check_int, _Record
 
 
-@dataclass(frozen=True)
-class WeightedAlphabet:
+class WeightedAlphabet(_Record):
     """Letters x1..xd with positive weights, sorted nondecreasing.
 
     The first m letters have weight 1; the convention that weight-1 letters
     come first is what the basis enumerations below rely on.
     """
 
-    weights: tuple[int, ...]
+    _fields = ("weights",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(self.weights))
+    def __init__(self, weights: tuple[int, ...]):
+        weights = tuple(weights)
         # type() rather than int(): 1.7 must not pass as 1, nor True as 1
-        if any(type(w) is not int for w in self.weights):
-            raise ValueError(f"letter weights must be integers, got {self.weights}")
-        if not self.weights:
+        if any(type(w) is not int for w in weights):
+            raise ValueError(f"letter weights must be integers, got {weights}")
+        if not weights:
             raise ValueError("an alphabet needs at least one letter")
-        if any(w < 1 for w in self.weights):
-            raise ValueError(f"letter weights must be >= 1, got {self.weights}")
-        if any(a > b for a, b in zip(self.weights, self.weights[1:])):
-            raise ValueError(f"letter weights must be nondecreasing, got {self.weights}")
+        if any(w < 1 for w in weights):
+            raise ValueError(f"letter weights must be >= 1, got {weights}")
+        if any(a > b for a, b in zip(weights, weights[1:])):
+            raise ValueError(f"letter weights must be nondecreasing, got {weights}")
+        self.__dict__.update(weights=weights)
 
     @property
     def d(self) -> int:
@@ -91,28 +90,26 @@ def _mono_str(mono: Monomial) -> str:
     return ".".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
-class NcPoly:
+class NcPoly(_Record):
     """An element of the free associative algebra.
 
     terms is a frozenset of (pi_exp, word) monomials.
     """
 
-    alphabet: WeightedAlphabet
-    ring: str
-    terms: frozenset
+    _fields = ("alphabet", "ring", "terms")
 
-    def __post_init__(self):
-        if self.ring not in RINGS:
-            raise ValueError(f"ring must be one of {RINGS}, got {self.ring!r}")
-        object.__setattr__(self, "terms", frozenset(self.terms))
-        for k, word in self.terms:
+    def __init__(self, alphabet: WeightedAlphabet, ring: str, terms: frozenset):
+        if ring not in RINGS:
+            raise ValueError(f"ring must be one of {RINGS}, got {ring!r}")
+        terms = frozenset(terms)
+        for k, word in terms:
             # type() rather than int(), as for letter weights: 1.5 must not pass as 1
             if type(k) is not int or any(type(i) is not int for i in word):
                 raise ValueError(f"pi exponents and letters must be integers, got {(k, word)}")
-            if k < 0 or (k > 0 and self.ring == F2):
-                raise ValueError(f"bad pi exponent {k} for ring {self.ring}")
-            self.alphabet.word_weight(word)  # validates letter indices via weight lookup
+            if k < 0 or (k > 0 and ring == F2):
+                raise ValueError(f"bad pi exponent {k} for ring {ring}")
+            alphabet.word_weight(word)  # validates letter indices via weight lookup
+        self.__dict__.update(alphabet=alphabet, ring=ring, terms=terms)
 
     def _mono_degree(self, mono: Monomial) -> int:
         k, word = mono
@@ -222,20 +219,25 @@ def p_mixed(u: NcPoly) -> NcPoly:
 # Bracket words: formal Lie/square expressions evaluated into the algebra.
 
 
-@dataclass(frozen=True)
-class Leaf:
-    index: int
+class Leaf(_Record):
+    _fields = ("index",)
+
+    def __init__(self, index: int):
+        self.__dict__.update(index=index)
 
 
-@dataclass(frozen=True)
-class Square:
-    arg: Leaf
+class Square(_Record):
+    _fields = ("arg",)
+
+    def __init__(self, arg: Leaf):
+        self.__dict__.update(arg=arg)
 
 
-@dataclass(frozen=True)
-class Bracket:
-    left: "BracketWord"
-    right: "BracketWord"
+class Bracket(_Record):
+    _fields = ("left", "right")
+
+    def __init__(self, left: BracketWord, right: BracketWord):
+        self.__dict__.update(left=left, right=right)
 
 
 BracketWord = Union[Leaf, Square, Bracket]

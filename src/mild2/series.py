@@ -13,11 +13,10 @@ a_n, restricted filtration dimensions) are all derived from its roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from math import comb, isqrt, log2
 
-from .arith import BoundExceededError, _check_int, _record_json, mobius
+from .arith import BoundExceededError, _check_int, _Record, _record_json, mobius
 
 # Most bits one series request may hold: its weights and denominator at one
 # 64-bit slot each, and its coefficients; 2**28 bits are 32 MiB.
@@ -48,25 +47,23 @@ def _int_tuple(values, what: str) -> tuple[int, ...]:
     return out
 
 
-@dataclass(frozen=True)
-class WeightSignature:
+class WeightSignature(_Record):
     """Generator weights e (each >= 1) and relator weights h (each >= 2)."""
 
-    e: tuple[int, ...]
-    h: tuple[int, ...] = ()
+    _fields = ("e", "h")
 
-    def __post_init__(self):
-        object.__setattr__(self, "e", tuple(self.e))
-        object.__setattr__(self, "h", tuple(self.h))
+    def __init__(self, e: tuple[int, ...], h: tuple[int, ...] = ()):
+        e, h = tuple(e), tuple(h)
         # type() rather than int(): 1.5 must not pass as 1, nor True as 1
-        if any(type(w) is not int for w in self.e + self.h):
-            raise ValueError(f"weights must be integers, got e = {self.e}, h = {self.h}")
-        if not self.e:
+        if any(type(w) is not int for w in e + h):
+            raise ValueError(f"weights must be integers, got e = {e}, h = {h}")
+        if not e:
             raise ValueError("a signature needs at least one generator weight")
-        if any(w < 1 for w in self.e):
-            raise ValueError(f"generator weights must be >= 1, got {self.e}")
-        if any(w < 2 for w in self.h):
-            raise ValueError(f"relator weights must be >= 2, got {self.h}")
+        if any(w < 1 for w in e):
+            raise ValueError(f"generator weights must be >= 1, got {e}")
+        if any(w < 2 for w in h):
+            raise ValueError(f"relator weights must be >= 2, got {h}")
+        self.__dict__.update(e=e, h=h)
 
     @property
     def r(self) -> int:
@@ -84,23 +81,22 @@ class WeightSignature:
         return den
 
 
-@dataclass(frozen=True)
-class IntSeries:
+class IntSeries(_Record):
     """Truncated power series with exact integer coefficients c_0..c_N."""
 
-    coeffs: tuple[int, ...]
+    _fields = ("coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _int_tuple(self.coeffs, "series coefficients"))
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple[int, ...]):
+        coeffs = _int_tuple(coeffs, "series coefficients")
+        if not coeffs:
             raise ValueError("a series carries at least its constant term")
+        self.__dict__.update(coeffs=coeffs)
 
     def pairs(self) -> list[tuple[int, int]]:
         return list(enumerate(self.coeffs))
 
 
-@dataclass(frozen=True)
-class DimensionSequence:
+class DimensionSequence(_Record):
     """A dimension sequence with an explicit kind tag and start index.
 
     kind is one of 'reduced_b' (start 2), 'lower_central_a' (start 1),
@@ -108,12 +104,10 @@ class DimensionSequence:
     dimension at n = start + k.
     """
 
-    kind: str
-    start: int
-    values: tuple[int, ...]
+    _fields = ("kind", "start", "values")
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", _int_tuple(self.values, "dimensions"))
+    def __init__(self, kind: str, start: int, values: tuple[int, ...]):
+        self.__dict__.update(kind=kind, start=start, values=_int_tuple(values, "dimensions"))
 
     def pairs(self) -> list[tuple[int, int]]:
         return [(self.start + k, v) for k, v in enumerate(self.values)]

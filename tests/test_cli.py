@@ -125,6 +125,10 @@ def test_check_mild_oracle_depth():
     code, out = run(["check-mild", "--primes", EX1, "--oracle-depth", "4", "--format", "text"])
     assert code == 0
     assert "oracle(F2): dimensions match through degree 4" in out
+    # refused as input, also on a set whose verdict would skip the oracle
+    for primes in (EX1, "3,5"):
+        code, err = run_err(["check-mild", "--primes", primes, "--oracle-depth", "-7"])
+        assert (code, err) == (2, "error: oracle_depth must be >= 2, got -7")
 
 
 def test_bad_primes_exit_2():

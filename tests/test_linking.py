@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 from collections.abc import Iterable
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -31,7 +30,7 @@ from mild2.linking import (
     ordered_prime_set,
     validate_augmentation,
 )
-from mild2.mildness import check_mild, parity_partition, rank_criterion
+from mild2.mildness import MildnessReport, check_mild, parity_partition, rank_criterion
 from mild2.quadlie import (
     F2,
     NcPoly,
@@ -548,7 +547,8 @@ def test_augment_asserts_its_certificate(monkeypatch):
     from mild2 import mildness
 
     report = check_mild(koch_presentation((5, 13, 41, 3, 23)))
-    monkeypatch.setattr(mildness, "check_mild", lambda pres: replace(report, verdict="not_shown"))
+    refused = MildnessReport("not_shown", report.criterion, report.witness, report.oracle_depth, report.notes)
+    monkeypatch.setattr(mildness, "check_mild", lambda pres: refused)
     with pytest.raises(AssertionError, match=r"candidate \(5, 13, 41, 3, 23\) is not certified mild"):
         augment((13, 3))
 

@@ -9,8 +9,15 @@ from functools import partial
 import pytest
 
 from mild2 import gf2, oracle
-from mild2.arith import is_prime
-from mild2.linking import QuadraticRelator, augment, eliminate_generator, koch_presentation, normalize_seed
+from mild2.arith import BoundExceededError, is_prime
+from mild2.linking import (
+    Presentation,
+    QuadraticRelator,
+    augment,
+    eliminate_generator,
+    koch_presentation,
+    normalize_seed,
+)
 from mild2.mildness import check_mild
 from mild2.oracle import (
     MemoryGuardError,
@@ -539,6 +546,8 @@ def test_strongly_free_oracle_rejects_zero_relators():
 X3, X4 = unit_alphabet(3), unit_alphabet(4)
 P4 = relator_to_poly(QuadraticRelator(4, (0, 0, 0, 0), {(1, 2)}), F2)
 X1 = NcPoly.generator(X3, 1, F2)
+# 21 generators, and [x1, x3] joins two odd letters, so the parity split fails
+BEYOND_SEARCH = Presentation(21, [QuadraticRelator(21, (0,) * 21, {(1, 3)})])
 
 
 @pytest.mark.parametrize(
@@ -553,6 +562,11 @@ X1 = NcPoly.generator(X3, 1, F2)
         (quotient_dims, (4, [P4], 3.0), "n_max must be an int, got float"),
         (strongly_free_oracle, ([QuadraticRelator(2, (0, 0), {(1, 2)})], 3.0), "n_max must be an int, got float"),
         (partial(check_mild, oracle_depth=3.0), (koch_presentation(EX1),), "oracle_depth must be an int, got float"),
+        (partial(check_mild, oracle_depth=1), (koch_presentation(EX1),), "oracle_depth must be >= 2, got 1"),
+        # the oracle would be skipped on this inapplicable set, yet the depth is refused
+        (partial(check_mild, oracle_depth=-7), (koch_presentation((3, 5)),), "oracle_depth must be >= 2, got -7"),
+        # the search would raise BoundExceededError here (test_the_oracle_depth_is_refused_before_the_search)
+        (partial(check_mild, oracle_depth=0), (BEYOND_SEARCH,), "oracle_depth must be >= 2, got 0"),
         (
             quotient_dims,
             (3, [X1 + mul(X1, NcPoly.generator(X3, 2, F2))], 3),
@@ -577,6 +591,13 @@ X1 = NcPoly.generator(X3, 1, F2)
 def test_oracle_refusals_name_the_failing_check(call, args, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call(*args)
+
+
+def test_the_oracle_depth_is_refused_before_the_search():
+    with pytest.raises(BoundExceededError, match="limited to d <= 20"):
+        check_mild(BEYOND_SEARCH, oracle_depth=2)
+    with pytest.raises(ValueError, match="oracle_depth must be >= 2, got 1"):
+        check_mild(BEYOND_SEARCH, oracle_depth=1)
 
 
 def test_oracle_comparison_serialization():

@@ -21,7 +21,11 @@ EX1 = "41,13,5,3,19"
 # the last line a child prints: the mild2 modules it loaded, as short names
 LOADED = "print(*sorted(m.removeprefix('mild2.') for m in sys.modules if m.split('.')[0] == 'mild2'))"
 
-# one launch: import the CLI, run one command, report the exit code and what loaded
+# standard modules no launch needs: the records are plain classes, not dataclasses
+UNNEEDED = ("dataclasses", "inspect")
+
+# one launch: import the CLI, run one command, report the exit code, the
+# unneeded modules that loaded and the mild2 modules that loaded
 LAUNCH = f"""
 import sys
 from mild2 import cli
@@ -30,6 +34,7 @@ try:
 except SystemExit as exc:
     code = exc.code
 print(code)
+print("unneeded:", *[m for m in {UNNEEDED!r} if m in sys.modules])
 {LOADED}
 """
 
@@ -142,8 +147,9 @@ except AttributeError as exc:
 def test_each_subcommand_loads_only_the_modules_it_runs(argv, loaded):
     proc = child("-c", LAUNCH, *argv)
     assert proc.returncode == 0, proc.stderr
-    *_, code, modules = proc.stdout.splitlines()
+    *_, code, unneeded, modules = proc.stdout.splitlines()
     assert code == "0"
+    assert unneeded == "unneeded:"
     assert set(modules.split()) == loaded
 
 
@@ -181,6 +187,20 @@ def test_a_launch_prints_what_main_prints_in_process(argv):
     launched = (proc.returncode, without_times(proc.stdout), proc.stderr)
     code, out, err = in_process(argv)
     assert launched == (code, without_times(out), err)
+
+
+def test_no_module_imports_dataclasses():
+    importers = []
+    for path in sorted((SRC / "mild2").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            importers += [f"{path.name}:{node.lineno}" for name in names if name and name.split(".")[0] in UNNEEDED]
+    assert importers == []
 
 
 def test_every_imported_name_is_used_in_its_module():
