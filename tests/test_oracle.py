@@ -562,11 +562,6 @@ BEYOND_SEARCH = Presentation(21, [QuadraticRelator(21, (0,) * 21, {(1, 3)})])
         (quotient_dims, (4, [P4], 3.0), "n_max must be an int, got float"),
         (strongly_free_oracle, ([QuadraticRelator(2, (0, 0), {(1, 2)})], 3.0), "n_max must be an int, got float"),
         (partial(check_mild, oracle_depth=3.0), (koch_presentation(EX1),), "oracle_depth must be an int, got float"),
-        (partial(check_mild, oracle_depth=1), (koch_presentation(EX1),), "oracle_depth must be >= 2, got 1"),
-        # the oracle would be skipped on this inapplicable set, yet the depth is refused
-        (partial(check_mild, oracle_depth=-7), (koch_presentation((3, 5)),), "oracle_depth must be >= 2, got -7"),
-        # the search would raise BoundExceededError here (test_the_oracle_depth_is_refused_before_the_search)
-        (partial(check_mild, oracle_depth=0), (BEYOND_SEARCH,), "oracle_depth must be >= 2, got 0"),
         (
             quotient_dims,
             (3, [X1 + mul(X1, NcPoly.generator(X3, 2, F2))], 3),
@@ -586,6 +581,11 @@ BEYOND_SEARCH = Presentation(21, [QuadraticRelator(21, (0,) * 21, {(1, 3)})])
             ([QuadraticRelator(2, (0, 0), {(1, 2)})], 3),
             "memory_cap_mib must be >= 1, got -3",
         ),
+        (partial(check_mild, oracle_depth=1), (koch_presentation(EX1),), "oracle_depth must be >= 2, got 1"),
+        # the oracle would be skipped on this inapplicable set, yet the depth is refused
+        (partial(check_mild, oracle_depth=-7), (koch_presentation((3, 5)),), "oracle_depth must be >= 2, got -7"),
+        # the search would raise BoundExceededError here (test_the_oracle_depth_is_refused_before_the_search)
+        (partial(check_mild, oracle_depth=0), (BEYOND_SEARCH,), "oracle_depth must be >= 2, got 0"),
     ],
 )
 def test_oracle_refusals_name_the_failing_check(call, args, message):
