@@ -5,7 +5,9 @@ Each criterion, declared with _criterion, returns a CriterionResult with a
 pass/fail flag and a detail string; run_all prints one line per criterion.
 Expected values are frozen here byte-for-byte (relator texts) or
 number-for-number (dimension tables); each runtime bound sits at its
-criterion's declaration.
+criterion's declaration.  The CLI (with argparse) and the oracle are
+imported by the checks that run them, so importing this module for its
+frozen tables loads neither.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import time
 from collections.abc import Callable
 from contextlib import redirect_stdout
 
-from . import cli
 from .arith import _Record, legendre
 from .linking import (
     Presentation,
@@ -28,7 +29,6 @@ from .linking import (
     validate_augmentation,
 )
 from .mildness import check_mild, find_mild_partition
-from .oracle import independent_in_degree, strongly_free_oracle
 from .quadlie import (
     F2,
     F2PI,
@@ -107,6 +107,8 @@ class CriterionResult(_Record):
 
 def run_cli(argv: list[str]) -> tuple[int, str]:
     """Run the CLI in-process, capturing stdout."""
+    from . import cli
+
     buffer = io.StringIO()
     with redirect_stdout(buffer):
         code = cli.main(argv)
@@ -191,6 +193,8 @@ def criterion_3() -> tuple[str, str]:
 
 @_criterion(4)
 def criterion_4() -> tuple[str, str]:
+    from .oracle import strongly_free_oracle
+
     problems = ""
     for primes in ((41, 13, 5, 3, 19), (5, 29, 7, 11, 3)):
         relators = eliminate_generator(koch_presentation(primes)).relators
@@ -215,6 +219,8 @@ def criterion_4() -> tuple[str, str]:
 
 @_criterion(5)
 def criterion_5() -> tuple[str, str]:
+    from .oracle import strongly_free_oracle
+
     problems = ""
     control = (
         QuadraticRelator(2, (1, 0), frozenset()),
@@ -262,6 +268,8 @@ def _weight_corpus() -> list[WeightedAlphabet]:
 
 @_criterion(7, limit=30)
 def criterion_7() -> tuple[str, str]:
+    from .oracle import independent_in_degree
+
     problems = ""
     for alphabet in _weight_corpus():
         grouped = enumerate_y(alphabet, 6)

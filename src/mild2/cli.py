@@ -48,6 +48,15 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
         raise ValueError(f"{what} must be a comma-separated list of integers, got {text!r}") from exc
 
 
+def _json_int(text: str) -> int:
+    """A JSON integer literal, refused past 4300 digits as under Python's
+    default limit, which main lifts: int() takes time quadratic in the digits."""
+    digits = len(text.lstrip("-"))
+    if digits > 4300:
+        raise ValueError(f"a JSON integer has {digits} digits, more than 4300")
+    return int(text)
+
+
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
         import json
@@ -67,7 +76,7 @@ def _load_presentation(args):
     if args.infile:
         with open(args.infile, "r", encoding="utf-8") as handle:
             try:
-                data = json.load(handle)
+                data = json.load(handle, parse_int=_json_int)
             except RecursionError:
                 raise ValueError(f"{args.infile}: JSON nested too deeply") from None
         return Presentation.from_json_dict(data)
@@ -327,6 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # a series coefficient may have more digits than str() converts by default
+    # (4300 from Python 3.10.7 on); lifted for the handler only, so that an
+    # in-process caller keeps its own limit
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits is not None:
+        limit = sys.get_int_max_str_digits()
+        set_digits(0)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # NoEliminableGeneratorError and JSONDecodeError included
@@ -341,6 +357,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # a fault in mild2 itself; 1 would read as an oracle mismatch
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 70
+    finally:
+        if set_digits is not None:
+            set_digits(limit)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ import functools
 import itertools
 
 from . import gf2
-from .arith import DEFAULT_MEMORY_CAP_MIB, F2, BoundExceededError, _check_int, _Record, _record_json
+from .arith import DEFAULT_MEMORY_CAP_MIB, F2, RINGS, BoundExceededError, _check_int, _Record, _record_json
 from .linking import Presentation, eliminate_generator
 
 MAX_ENUMERATION_D = 20
@@ -198,10 +198,16 @@ def check_mild(
     is recorded in the notes.
     """
     if oracle_depth is not None:
-        # refused before the partition search, which can take seconds
+        # the oracle's arguments are refused before the partition search, which
+        # can take seconds, and also where the oracle is then skipped
         _check_int(oracle_depth, "oracle_depth")
         if oracle_depth < 2:
             raise ValueError(f"oracle_depth must be >= 2, got {oracle_depth}")
+        if oracle_ring not in RINGS:
+            raise ValueError(f"ring must be one of {RINGS}, got {oracle_ring!r}")
+        _check_int(memory_cap_mib, "memory_cap_mib")
+        if memory_cap_mib < 1:
+            raise ValueError(f"memory_cap_mib must be >= 1, got {memory_cap_mib}")
     notes: list[str] = []
     pres = presentation
     if pres.product_relation is not None and any(pres.product_relation):

@@ -191,6 +191,10 @@ def gamma_series(sig: WeightSignature, n_max: int) -> IntSeries:
     return IntSeries(tuple(accumulate(strongly_free_series(sig, n_max).coeffs)))
 
 
+def _den_power_sums(den: list[int], length: int) -> tuple[int, ...]:
+    return expand_rational([-k * c for k, c in enumerate(den)], den, length).coeffs[1:]
+
+
 def power_sums(sig: WeightSignature, length: int) -> tuple[int, ...]:
     """Power sums p_1..p_length of the inverse roots of the signature denominator.
 
@@ -201,8 +205,22 @@ def power_sums(sig: WeightSignature, length: int) -> tuple[int, ...]:
     """
     _check_n_max(length, 1, "length")
     _check_signature_size(sig, length)
-    den = sig.denominator()
-    return expand_rational([-k * c for k, c in enumerate(den)], den, length).coeffs[1:]
+    return _den_power_sums(sig.denominator(), length)
+
+
+def _mobius_inversion(q: list[int] | tuple[int, ...], n: int) -> int:
+    """(1/n) * sum_{l | n} mobius(n/l) * q[l - 1]: the exponent c_n of
+    (1 - t**n)**(-c_n) in the product whose logarithm is sum_l q_l t**l / l.
+    Raises NonRealizableError when the sum is not divisible by n."""
+    total = 0
+    for k in range(1, isqrt(n) + 1):
+        if n % k == 0:
+            for ell in {k, n // k}:
+                total += mobius(n // ell) * q[ell - 1]
+    c, rem = divmod(total, n)
+    if rem != 0:
+        raise NonRealizableError(n, total / n, "not an integer")
+    return c
 
 
 def reduced_dims_bn(sig: WeightSignature, n_max: int) -> DimensionSequence:
@@ -217,21 +235,14 @@ def reduced_dims_bn(sig: WeightSignature, n_max: int) -> DimensionSequence:
     by a strongly free sequence.
     """
     _check_n_max(n_max, 2)
-    p = power_sums(sig, n_max)
     r = sig.r
+    q = [p + (r if ell % 2 == 0 else -r) for ell, p in enumerate(power_sums(sig, n_max), 1)]
     values = []
     for n in range(2, n_max + 1):
-        total = 0
-        for k in range(1, isqrt(n) + 1):
-            if n % k == 0:
-                for ell in {k, n // k}:
-                    total += mobius(n // ell) * (p[ell - 1] + (r if ell % 2 == 0 else -r))
-        q, rem = divmod(total, n)
-        if rem != 0:
-            raise NonRealizableError(n, total / n, "not an integer")
-        if q < 0:
-            raise NonRealizableError(n, q, "negative")
-        values.append(q)
+        b_n = _mobius_inversion(q, n)
+        if b_n < 0:
+            raise NonRealizableError(n, b_n, "negative")
+        values.append(b_n)
     return DimensionSequence("reduced_b", 2, tuple(values))
 
 
@@ -247,21 +258,21 @@ def lower_central_dims(sig: WeightSignature, n_max: int) -> DimensionSequence:
     return DimensionSequence("lower_central_a", 1, tuple(values))
 
 
-def _inv_one_minus_tn_pow(n: int, b: int, n_max: int, sign: int = 1) -> list[int]:
-    """(1 - sign * t**n)**(-b) truncated, b >= 0 and sign = +-1: signed
-    multiset coefficients on multiples of n."""
+def _inv_one_minus_tn_pow(n: int, b: int, n_max: int) -> list[int]:
+    """(1 - t**n)**(-b) truncated, b >= 0: multiset coefficients on multiples of n."""
     out = [0] * (n_max + 1)
     for k in range(n_max // n + 1):
-        out[n * k] = sign**k * comb(b + k - 1, k) if k else 1
+        out[n * k] = comb(b + k - 1, k) if k else 1
     return out
 
 
 def zassenhaus_dims(d: int, m: int, n_max: int) -> DimensionSequence:
-    """Dimensions a_n extracted from prod_{n>=1} (1 + t**n)**a_n = 1/(1 - d*t + m*t**2).
+    """Dimensions a_n, n = 1..n_max, with prod_{n>=1} (1 + t**n)**a_n = 1/(1 - d*t + m*t**2).
 
-    The a_n are read off degree by degree from one running quotient: once
-    it has been divided by (1 + t**k)**a_k for every k < n, its coefficient
-    n is a_n.  Raises NonRealizableError on a negative a_n.
+    Since 1 + t**n = (1 - t**(2n)) / (1 - t**n), the product is
+    prod_n (1 - t**n)**(-(a_n - a_{n/2})), a_{n/2} = 0 for odd n, so
+    a_n - a_{n/2} is the Mobius inversion of the power sums p_l of
+    1 - d*t + m*t**2, as for b_n.  Raises NonRealizableError on a negative a_n.
     """
     _check_int(d, "d")
     _check_int(m, "m")
@@ -269,14 +280,13 @@ def zassenhaus_dims(d: int, m: int, n_max: int) -> DimensionSequence:
         raise ValueError(f"need d >= 1 and m >= 0, got d = {d}, m = {m}")
     _check_n_max(n_max, 1)
     check_series_size(d + m, 2, n_max)
-    quotient = list(expand_rational([1], [1, -d, m], n_max).coeffs)
+    p = _den_power_sums([1, -d, m], n_max)
     values = []
     for n in range(1, n_max + 1):
-        a_n = quotient[n]
+        a_n = _mobius_inversion(p, n) + (values[n // 2 - 1] if n % 2 == 0 else 0)
         if a_n < 0:
             raise NonRealizableError(n, a_n, "negative")
         values.append(a_n)
-        quotient = _mul_trunc(_inv_one_minus_tn_pow(n, a_n, n_max, sign=-1), quotient, n_max)
     return DimensionSequence("zassenhaus_a", 1, tuple(values))
 
 

@@ -14,6 +14,7 @@ import pytest
 
 import mild2
 from mild2 import cli, oracle
+from mild2.series import WeightSignature, reduced_dims_bn
 from mild2.acceptance import (
     GOLDEN_EX1_PRESENT,
     GOLDEN_EX1_REDUCE,
@@ -180,6 +181,14 @@ def test_deeply_nested_presentation_json_exits_2(tmp_path, command):
     assert (code, err) == (2, f"error: {path}: JSON nested too deeply")
 
 
+def test_a_json_integer_past_4300_digits_exits_2(tmp_path):
+    # main lifts Python's digit limit for printing; an input file keeps it
+    path = tmp_path / "big.json"
+    path.write_text('{"a": [' + "9" * 4301 + '], "relators": []}')
+    code, err = run_err(["check-mild", "--in", str(path)])
+    assert (code, err) == (2, "error: a JSON integer has 4301 digits, more than 4300")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -332,6 +341,48 @@ def test_series_json_has_kind_tag():
     assert code == 0
     blob = json.loads(out)
     assert blob["kind"] == "gamma_series" and blob["start"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, last",
+    [
+        (["series", "--d", "8", "--max", "5000", "--format", "json"], lambda: 8**5000),
+        (["series", "--d", "2", "--max", "16351"], lambda: 2**16351),
+        (
+            ["dims", "--kind", "reduced-b", "--d", "8", "--max", "5000"],
+            lambda: reduced_dims_bn(WeightSignature((1,) * 8), 5000).values[-1],
+        ),
+    ],
+)
+def test_coefficients_past_the_default_digit_limit_print(argv, last):
+    # more than the 4300 digits str() converts by default from Python 3.10.7 on
+    src = str(Path(mild2.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "mild2.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    # the test process needs the limit lifted too, to compare
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    set_digits = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    set_digits(0)
+    try:
+        assert len(str(last())) > 4300
+        if "json" in argv:
+            assert json.loads(proc.stdout)["values"][-1] == last()
+        else:
+            assert proc.stdout.splitlines()[-1] == f"{argv[argv.index('--max') + 1]}: {last()}"
+    finally:
+        set_digits(limit)
+
+
+def test_main_gives_an_in_process_caller_its_digit_limit_back():
+    get_digits = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = get_digits()
+    assert run(["series", "--d", "8", "--max", "5000"])[0] == 0
+    assert get_digits() == before
 
 
 def test_dims_nonrealizable_is_diagnostic_not_error():

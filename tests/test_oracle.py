@@ -586,6 +586,33 @@ BEYOND_SEARCH = Presentation(21, [QuadraticRelator(21, (0,) * 21, {(1, 3)})])
         (partial(check_mild, oracle_depth=-7), (koch_presentation((3, 5)),), "oracle_depth must be >= 2, got -7"),
         # the search would raise BoundExceededError here (test_the_oracle_depth_is_refused_before_the_search)
         (partial(check_mild, oracle_depth=0), (BEYOND_SEARCH,), "oracle_depth must be >= 2, got 0"),
+        # the oracle's ring and memory cap are refused as its depth is: up front,
+        # on a set where the oracle would be skipped and before a search that would fail
+        (
+            partial(check_mild, oracle_depth=3, oracle_ring="F3"),
+            (koch_presentation((3, 5)),),
+            "ring must be one of ('F2', 'F2pi'), got 'F3'",
+        ),
+        (
+            partial(check_mild, oracle_depth=3, memory_cap_mib=0),
+            (koch_presentation((3, 5)),),
+            "memory_cap_mib must be >= 1, got 0",
+        ),
+        (
+            partial(check_mild, oracle_depth=3, memory_cap_mib=1.5),
+            (koch_presentation((3, 5)),),
+            "memory_cap_mib must be an int, got float",
+        ),
+        (
+            partial(check_mild, oracle_depth=2, oracle_ring="f2"),
+            (BEYOND_SEARCH,),
+            "ring must be one of ('F2', 'F2pi'), got 'f2'",
+        ),
+        (
+            partial(check_mild, oracle_depth=2, memory_cap_mib=-3),
+            (BEYOND_SEARCH,),
+            "memory_cap_mib must be >= 1, got -3",
+        ),
     ],
 )
 def test_oracle_refusals_name_the_failing_check(call, args, message):

@@ -4,6 +4,7 @@ import itertools
 import random
 import re
 import time
+from math import comb
 
 import pytest
 
@@ -247,13 +248,53 @@ def test_zassenhaus_product_identity():
         product = [1] + [0] * n_max
         for n, a_n in enumerate(a, start=1):
             factor = [0] * (n_max + 1)
-            from math import comb
-
             for k in range(0, n_max // n + 1):
                 factor[n * k] = comb(a_n, k)
             product = mul_series(product, factor, n_max)
         expected = expand_rational([1], [1, -d, m], n_max).coeffs
         assert tuple(product) == expected, (d, m)
+
+
+def running_quotient_zassenhaus(d, m, n_max):
+    """Reference: a_n read off degree by degree from one running quotient of
+    1/(1 - d t + m t^2); once it has been divided by (1 + t^k)^(a_k) for every
+    k < n, its coefficient n is a_n.  The first negative a_n as
+    (n, value, reason) instead."""
+    quotient = list(expand_rational([1], [1, -d, m], n_max).coeffs)
+    values = []
+    for n in range(1, n_max + 1):
+        a_n = quotient[n]
+        if a_n < 0:
+            return (n, a_n, "negative")
+        values.append(a_n)
+        divided = [0] * (n_max + 1)
+        for k in range(n_max // n + 1):
+            # (1 + t^n)^(-a_n) = sum_k (-1)^k C(a_n + k - 1, k) t^(nk)
+            factor = (-1) ** k * comb(a_n + k - 1, k) if k else 1
+            for j in range(n_max + 1 - n * k):
+                divided[n * k + j] += factor * quotient[j]
+        quotient = divided
+    return tuple(values)
+
+
+def test_zassenhaus_dims_match_the_running_quotient_reference():
+    nonrealizable = 0
+    for d, m, n_max in itertools.product(range(1, 9), range(40), (1, 2, 5, 17, 40)):
+        try:
+            got = zassenhaus_dims(d, m, n_max).values
+        except NonRealizableError as err:
+            got = (err.n, err.value, err.reason)
+            nonrealizable += 1
+        assert got == running_quotient_zassenhaus(d, m, n_max), (d, m, n_max)
+    assert 0 < nonrealizable < 8 * 40 * 5
+
+
+def test_zassenhaus_dims_to_degree_3000_within_seconds():
+    # the running-quotient reference above needs about 30 s for this on a 2-CPU host
+    started = time.perf_counter()
+    a = zassenhaus_dims(4, 4, 3000)
+    assert time.perf_counter() - started < 5.0
+    assert len(a.values) == 3000 and a.values[:4] == (4, 6, 4, 12)
 
 
 def test_series_size_guard(monkeypatch):

@@ -127,6 +127,18 @@ except AttributeError as exc:
     assert proc.stdout.splitlines() == ["module 'mild2' has no attribute 'nope'", "mild2"]
 
 
+def test_importing_acceptance_for_its_tables_loads_neither_the_cli_nor_the_oracle():
+    check = """
+import sys
+from mild2 import acceptance
+print(*[m for m in ("argparse", "mild2.cli", "mild2.oracle") if m in sys.modules])
+print(len(acceptance.F2_DIMS_0_TO_6))
+"""
+    proc = child("-c", check)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["", "7"]
+
+
 @pytest.mark.parametrize(
     "argv, loaded",
     [
