@@ -20,10 +20,12 @@ QuadraticRelator derives, on first use, its masks: the square mask, with bit
 i set iff xi^2 occurs, and one (pair mask, column bit) entry per commutator
 [xi, xj], i < j, in ascending order, whose pair mask has bits i and j and
 whose column bit 1 << (i - 1) * d + j - 1 is the commutator's column in a
-GF(2) int row of d * d columns.  The rank criterion reads a relator through
-them: for the letters S of a partition, squares & S is a square in S,
-pair & S == pair a commutator inside S, and any other nonzero pair & S a
-crossing commutator, whose column bit goes into the relator's row.
+GF(2) int row of d * d columns.  The rank criterion ORs a relator set's
+square masks into its summary once, beside each letter's commutator
+neighbours (see mild2.mildness), and with these rejects a partition whose S
+holds a square or a commutator.  For the letters S of a partition that
+passes, any nonzero pair & S is a crossing commutator, whose column bit goes
+into the relator's row.
 """
 
 from __future__ import annotations

@@ -15,11 +15,15 @@ m = d and relators in Koch shape:
 in which case the parity partition (S odd, Sp even) witnesses the rank
 criterion.  check_mild chains elimination, the criteria and an optional
 quotient-dimension oracle into one report.
+
+The rank criterion reads a relator tuple through a summary kept for the last
+tuple ranked: d, the OR of the square masks and one code per letter i, its
+bit below the bits of its neighbours (the letters sharing a commutator with
+i), so that one OR over S shows a square or a commutator inside S.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 from . import gf2
@@ -53,9 +57,9 @@ def _check_same_d(relators) -> int:
     return d
 
 
-@functools.lru_cache(maxsize=64)
-def _letter_bits(d: int) -> dict[int, int]:
-    return {i: 1 << i for i in range(1, d + 1)}
+# the last relator tuple ranked and its summary, read and replaced as one
+# tuple; holding the tuple keeps its identity from passing to another set
+_memo: tuple = ((), None)
 
 
 def rank_criterion(relators, part: Partition) -> bool:
@@ -63,37 +67,42 @@ def rank_criterion(relators, part: Partition) -> bool:
     This is the partition's validity check: ValueError unless its blocks hold
     each of 1..d exactly once.  With no relators there is no d: True.
 
-    S is read as one int of letter bits and each relator through its masks
-    (see mild2.linking): a square in S or a commutator inside S fails the
-    partition, and the column bits of the crossing commutators make the
-    relator's int row."""
+    S is ORed from the letter codes of the summary (module docstring); only a
+    partition with no square and no neighbour in S builds its rows from the
+    column bits of its crossing commutators (see mild2.linking) and ranks them."""
+    global _memo
     relators = tuple(relators)
     if not relators:
         return True
-    d = _check_same_d(relators)
-    bit = _letter_bits(d)
+    memo = _memo
+    if memo[0] is not relators:
+        d = _check_same_d(relators)
+        squares, near = 0, [0] * (d + 1)
+        for rel in relators:
+            squares |= rel.masks[0]
+            for i, j in rel.comms:
+                near[i] |= 1 << j
+                near[j] |= 1 << i
+        memo = _memo = (relators, (d, squares, {i: 1 << i | near[i] << d + 1 for i in range(1, d + 1)}))
+    d, squares, code = memo[1]
     s = sp = 0
     try:
         for i in part.S:
-            s |= bit[i]
+            s |= code[i]
         for i in part.Sp:
-            sp |= bit[i]
+            sp |= code[i]
     except KeyError:  # a letter outside 1..d
         s = sp = 0
     # d letters whose bits fill bits 1..d are d distinct letters
-    if len(part.S) + len(part.Sp) != d or s | sp != (2 << d) - 2:
+    if len(part.S) + len(part.Sp) != d or (s | sp) & ((2 << d) - 1) != (2 << d) - 2:
         raise ValueError(f"partition {part} is not a partition of 1..{d}")
+    if squares & s or s >> d + 1 & s:
+        return False
     rows = []
     for rel in relators:
-        squares, pairs = rel.masks
-        if squares & s:
-            return False
         row = 0
-        for pair, col in pairs:
-            inside = pair & s
-            if inside == pair:
-                return False
-            if inside:
+        for pair, col in rel.masks[1]:
+            if pair & s:
                 row |= col
         rows.append(row)
     return len(gf2.echelon(rows)) == len(relators)

@@ -3,6 +3,8 @@
 import itertools
 import random
 import re
+import sys
+import threading
 
 import pytest
 
@@ -329,22 +331,26 @@ def random_koch_sets(rng, count, max_d):
             yield pres.relators
 
 
-def test_rank_criterion_matches_basis_reference_on_every_partition():
-    rng = random.Random(41)
-    outcomes = set()
-    samples = []
-    for _ in range(150):
-        d = rng.randint(2, 7)
+def random_relator_sets(rng, count, min_d, max_d):
+    """Seeded random relator sets of 1..d relators on d = min_d..max_d letters."""
+    for _ in range(count):
+        d = rng.randint(min_d, max_d)
         p_square, p_comm = rng.choice((0.05, 0.2)), rng.choice((0.2, 0.5))
         pairs = list(itertools.combinations(range(1, d + 1), 2))
-        samples.append([
+        yield tuple(
             QuadraticRelator(
                 d,
                 tuple(int(rng.random() < p_square) for _ in range(d)),
                 {pair for pair in pairs if rng.random() < p_comm},
             )
             for _ in range(rng.randint(1, d))
-        ])
+        )
+
+
+def test_rank_criterion_matches_basis_reference_on_every_partition():
+    rng = random.Random(41)
+    outcomes = set()
+    samples = list(random_relator_sets(rng, 150, 2, 7))
     koch = list(random_koch_sets(rng, 40, 10))
     assert max(rels[0].d for rels in koch) == 10
     for kind, sets in (("random", samples), ("koch", koch)):
@@ -387,6 +393,92 @@ def test_partition_validation_matches_the_sorted_letters_check():
         else:
             assert rank_criterion((rel,), part) in (True, False)
     assert 1000 < refused < 2500
+
+
+def test_remembered_summaries_give_the_reference_answers():
+    """The same answers whether a set's tuple is reused, two sets alternate
+    partition by partition, or each call brings a fresh tuple or a list."""
+    rng = random.Random(53)
+    sets = list(random_relator_sets(rng, 40, 2, 6)) + [tuple(rels) for rels in random_koch_sets(rng, 12, 8)]
+    cases = []
+    for rels in sets:
+        parts = list(all_partitions(rels[0].d))
+        cases.append((rels, [(part, rank_criterion_reference(rels, part)) for part in parts]))
+    assert {expected for _, answers in cases for _, expected in answers} == {True, False}
+    for rels, answers in cases:  # one tuple object throughout
+        for part, expected in answers:
+            assert rank_criterion(rels, part) == expected, (rels, part)
+    for (a, answers_a), (b, answers_b) in zip(cases[::2], cases[1::2]):
+        # the same tuples, a new tuple each call (tuple() of a tuple is itself), a list
+        for fresh in (lambda rels: rels, lambda rels: tuple(list(rels)), list):
+            for k in range(max(len(answers_a), len(answers_b))):
+                for rels, answers in ((a, answers_a), (b, answers_b)):
+                    if k < len(answers):
+                        part, expected = answers[k]
+                        assert rank_criterion(fresh(rels), part) == expected, (rels, part)
+
+
+def test_refusals_keep_their_order_on_first_calls_and_on_repeats():
+    # a square at 1 and [x2, x3]: an S holding either is refused as a
+    # partition first when it does not cover 1..4 exactly once
+    rels = (QuadraticRelator(4, (1, 0, 0, 0), {(2, 3)}), QuadraticRelator(4, (0, 0, 0, 0), {(1, 4)}))
+    invalid = [
+        Partition((1, 2), (2, 3, 4)),
+        Partition((2, 3), (1,)),
+        Partition((1, 2, 3), (3, 4)),
+        Partition((2, 3, 5), (1,)),
+    ]
+    for part in invalid:
+        with pytest.raises(ValueError, match="is not a partition of 1..4"):
+            rank_criterion(tuple(list(rels)), part)  # a new tuple: its first call
+        assert rank_criterion(rels, Partition((2, 4), (1, 3)))
+        with pytest.raises(ValueError, match="is not a partition of 1..4"):
+            rank_criterion(rels, part)  # the tuple just ranked, again
+    assert not rank_criterion(rels, Partition((1, 4), (2, 3)))
+    assert not rank_criterion(rels, Partition((2, 3), (1, 4)))
+    assert rank_criterion(rels, Partition((2, 4), (1, 3)))
+    mixed = (QuadraticRelator(3, (0, 0, 0), {(1, 2)}), QuadraticRelator(4, (0, 0, 0, 0), {(1, 2)}))
+    for part in (parity_partition(3), parity_partition(4), Partition((1,), ())):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"relators disagree on the generator count: \[3, 4\]"):
+                rank_criterion(mixed, part)
+            assert getattr(mildness, "_memo", ((),))[0] is not mixed
+    assert rank_criterion(rels, Partition((2, 4), (1, 3)))
+
+
+def test_two_threads_ranking_two_sets_get_the_reference_answers():
+    rng = random.Random(59)
+    parts = list(all_partitions(6))
+    while True:  # two sets on the same letters whose answers differ often
+        a, b = random_relator_sets(rng, 2, 6, 6)
+        answers = {rels: [rank_criterion_reference(rels, part) for part in parts] for rels in (a, b)}
+        if sum(x != y for x, y in zip(answers[a], answers[b])) >= len(parts) // 4:
+            break
+    wrong, errors = [], []
+    start = threading.Barrier(2)
+
+    def rank_all(rels):
+        try:
+            start.wait(timeout=30)
+            for _ in range(1500):
+                for part, expected in zip(parts, answers[rels]):
+                    if rank_criterion(rels, part) != expected:
+                        wrong.append((rels, part))
+        except Exception as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # slices of some tens of calls: memo hits, and switches inside rebuilds
+    try:
+        threads = [threading.Thread(target=rank_all, args=(rels,)) for rels in (a, b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors and not wrong, (errors, wrong[:3])
 
 
 def circuit_criterion_reference(relators):
