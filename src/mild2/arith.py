@@ -6,8 +6,9 @@ randomized primality answer.  Inputs are restricted to the 64-bit range.
 
 This leaf module also defines the defaults, ring names and guard errors that
 the command-line parser shares with the other modules: every CLI launch
-loads it, so the parser needs no other module to build its flags.  The base
-class and the JSON rule of the result records live here too.
+loads it, so the parser needs no other module to build its flags.  The checks
+of a memory cap and of a ring name live here once, for every entry point
+that takes one, as do the base class and the JSON rule of the result records.
 """
 
 from __future__ import annotations
@@ -44,6 +45,17 @@ def _check_int(n: int, name: str) -> None:
         raise ValueError(f"{name} must be an int, got {type(n).__name__}")
 
 
+def _check_memory_cap(memory_cap_mib: int) -> None:
+    _check_int(memory_cap_mib, "memory_cap_mib")
+    if memory_cap_mib < 1:
+        raise ValueError(f"memory_cap_mib must be >= 1, got {memory_cap_mib}")
+
+
+def _check_ring(ring: str) -> None:
+    if ring not in RINGS:
+        raise ValueError(f"ring must be one of {RINGS}, got {ring!r}")
+
+
 def _check_range(n: int, name: str = "n") -> None:
     _check_int(n, name)
     if n > MAX_INPUT:
@@ -58,8 +70,8 @@ class _Record:
     Each record writes its own __init__, which validates and then sets every
     field at once through self.__dict__.  Plain classes rather than
     dataclasses spare every launch the import of dataclasses (and inspect)
-    and the code generated per class; instances keep a __dict__ so that a
-    cached_property can store into it."""
+    and the code generated per class.  A record holds its fields and nothing
+    else: no state derived from them is stored on it."""
 
     _fields: tuple[str, ...] = ()
 

@@ -14,24 +14,11 @@ the remaining relators by
   l'_ij = l_ij  XOR  (l_it AND c_j)        (j != i, t; squares unchanged)
 
 where t is the eliminated index and c_j its substitution bits.
-
-A set of letters is one int, letter i at bit i (bit 0 unused).  Each
-QuadraticRelator derives, on first use, its masks: the square mask, with bit
-i set iff xi^2 occurs, and one (pair mask, column bit) entry per commutator
-[xi, xj], i < j, in ascending order, whose pair mask has bits i and j and
-whose column bit 1 << (i - 1) * d + j - 1 is the commutator's column in a
-GF(2) int row of d * d columns.  The rank criterion ORs a relator set's
-square masks into its summary once, beside each letter's commutator
-neighbours (see mild2.mildness), and with these rejects a partition whose S
-holds a square or a commutator.  For the letters S of a partition that
-passes, any nonzero pair & S is a crossing commutator, whose column bit goes
-into the relator's row.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
 
 from .arith import (
     DEFAULT_PRIME_BOUND,
@@ -116,15 +103,21 @@ class QuadraticRelator(_Record):
     def __init__(self, d: int, squares: tuple[int, ...], comms: frozenset, owner: int | None = None):
         _check_int(d, "d")
         squares = tuple(squares)
-        comms = frozenset((min(i, j), max(i, j)) for i, j in comms)
         if len(squares) != d:
             raise ValueError(f"squares vector has length {len(squares)}, expected {d}")
         # type() rather than int(): 0.6 must not pass as 0, nor True as 1
         if any(type(b) is not int or b not in (0, 1) for b in squares):
             raise ValueError("squares entries must be the integers 0 or 1")
-        for i, j in comms:
-            if type(i) is not int or type(j) is not int or not (1 <= i < j <= d):
+        # types first, so that ordering a pair cannot raise TypeError
+        pairs = [(min(i, j), max(i, j)) if type(i) is type(j) is int else (i, j) for i, j in comms]
+        for i, j in pairs:
+            if not (type(i) is type(j) is int and 1 <= i < j <= d):
                 raise ValueError(f"commutator pair ({i}, {j}) out of range for d = {d}")
+        # over GF(2) a commutator named twice cancels, which a set would hide
+        comms = frozenset(pairs)
+        if len(comms) < len(pairs):
+            twice = next(pair for k, pair in enumerate(pairs) if pair in pairs[:k])
+            raise ValueError("commutator [x%d,x%d] named twice" % twice)
         if owner is not None and (type(owner) is not int or not 1 <= owner <= d):
             raise ValueError(f"owner {owner} out of range 1..{d}")
         self.__dict__.update(d=d, squares=squares, comms=comms, owner=owner)
@@ -138,14 +131,6 @@ class QuadraticRelator(_Record):
         if any(self.squares[k] for k in range(self.d) if k != i - 1):
             return False
         return all(i in pair for pair in self.comms)
-
-    @cached_property
-    def masks(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """(square mask, ((pair mask, column bit), ...)), laid out as the module
-        docstring says; kept out of ==, hash and repr, which read fields only."""
-        squares = sum(1 << i for i, b in enumerate(self.squares, 1) if b)
-        pairs = tuple((1 << i | 1 << j, 1 << (i - 1) * self.d + j - 1) for i, j in sorted(self.comms))
-        return squares, pairs
 
     def comm_partners(self, i: int) -> list[int]:
         """Indices j with [xi, xj] present, ascending."""

@@ -16,10 +16,14 @@ in which case the parity partition (S odd, Sp even) witnesses the rank
 criterion.  check_mild chains elimination, the criteria and an optional
 quotient-dimension oracle into one report.
 
-The rank criterion reads a relator tuple through a summary kept for the last
-tuple ranked: d, the OR of the square masks and one code per letter i, its
-bit below the bits of its neighbours (the letters sharing a commutator with
-i), so that one OR over S shows a square or a commutator inside S.
+A set of letters is one int, letter i at bit i (bit 0 unused).  The rank
+criterion reads a relator tuple through a summary kept for the last tuple
+ranked: d; the OR of the square bits; one code per letter i, its bit below
+the bits of its neighbours (the letters sharing a commutator with i), so
+that one OR over S shows a square or a commutator inside S; and per relator,
+per commutator [xi, xj], i < j, its pair bits i and j and its column bit
+1 << (i - 1) * d + j - 1 in a GF(2) int row of d * d columns.  For an S that
+passes, each nonzero pair & S adds a crossing commutator's column to the row.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from __future__ import annotations
 import itertools
 
 from . import gf2
-from .arith import DEFAULT_MEMORY_CAP_MIB, F2, RINGS, BoundExceededError, _check_int, _Record, _record_json
+from .arith import DEFAULT_MEMORY_CAP_MIB, F2, BoundExceededError, _check_int, _check_memory_cap, _check_ring
+from .arith import _Record, _record_json
 from .linking import Presentation, eliminate_generator
 
 MAX_ENUMERATION_D = 20
@@ -69,7 +74,7 @@ def rank_criterion(relators, part: Partition) -> bool:
 
     S is ORed from the letter codes of the summary (module docstring); only a
     partition with no square and no neighbour in S builds its rows from the
-    column bits of its crossing commutators (see mild2.linking) and ranks them."""
+    column bits of its crossing commutators and ranks them."""
     global _memo
     relators = tuple(relators)
     if not relators:
@@ -77,14 +82,15 @@ def rank_criterion(relators, part: Partition) -> bool:
     memo = _memo
     if memo[0] is not relators:
         d = _check_same_d(relators)
-        squares, near = 0, [0] * (d + 1)
+        squares, near, entries = 0, [0] * (d + 1), []
         for rel in relators:
-            squares |= rel.masks[0]
+            squares |= sum(b << i for i, b in enumerate(rel.squares, 1))
             for i, j in rel.comms:
                 near[i] |= 1 << j
                 near[j] |= 1 << i
-        memo = _memo = (relators, (d, squares, {i: 1 << i | near[i] << d + 1 for i in range(1, d + 1)}))
-    d, squares, code = memo[1]
+            entries.append([(1 << i | 1 << j, 1 << (i - 1) * d + j - 1) for i, j in rel.comms])
+        memo = _memo = (relators, (d, squares, {i: 1 << i | near[i] << d + 1 for i in range(1, d + 1)}, entries))
+    d, squares, code, entries = memo[1]
     s = sp = 0
     try:
         for i in part.S:
@@ -99,9 +105,9 @@ def rank_criterion(relators, part: Partition) -> bool:
     if squares & s or s >> d + 1 & s:
         return False
     rows = []
-    for rel in relators:
+    for pairs in entries:
         row = 0
-        for pair, col in rel.masks[1]:
+        for pair, col in pairs:
             if pair & s:
                 row |= col
         rows.append(row)
@@ -212,11 +218,8 @@ def check_mild(
         _check_int(oracle_depth, "oracle_depth")
         if oracle_depth < 2:
             raise ValueError(f"oracle_depth must be >= 2, got {oracle_depth}")
-        if oracle_ring not in RINGS:
-            raise ValueError(f"ring must be one of {RINGS}, got {oracle_ring!r}")
-        _check_int(memory_cap_mib, "memory_cap_mib")
-        if memory_cap_mib < 1:
-            raise ValueError(f"memory_cap_mib must be >= 1, got {memory_cap_mib}")
+        _check_ring(oracle_ring)
+        _check_memory_cap(memory_cap_mib)
     notes: list[str] = []
     pres = presentation
     if pres.product_relation is not None and any(pres.product_relation):

@@ -64,7 +64,8 @@ import sys
 from itertools import accumulate, permutations
 
 from . import gf2
-from .arith import DEFAULT_MEMORY_CAP_MIB, F2, F2PI, MemoryGuardError, _check_int, _Record, _record_json
+from .arith import DEFAULT_MEMORY_CAP_MIB, F2, F2PI, MemoryGuardError, _check_int, _check_memory_cap
+from .arith import _Record, _record_json
 from .quadlie import relator_to_poly, unit_alphabet
 from .series import DimensionSequence, WeightSignature, check_series_size, gamma_series, strongly_free_series
 
@@ -232,9 +233,7 @@ def quotient_dims(
     """
     relators = tuple(relators)
     _check_int(n_max, "n_max")
-    _check_int(memory_cap_mib, "memory_cap_mib")
-    if memory_cap_mib < 1:
-        raise ValueError(f"memory_cap_mib must be >= 1, got {memory_cap_mib}")
+    _check_memory_cap(memory_cap_mib)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     _check_relators(unit_alphabet(d), relators, ring)

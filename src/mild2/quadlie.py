@@ -27,7 +27,7 @@ from collections import Counter
 from math import comb
 from typing import Union
 
-from .arith import F2, F2PI, RINGS, BoundExceededError, _check_int, _Record
+from .arith import F2, F2PI, BoundExceededError, _check_int, _check_ring, _Record
 
 
 class WeightedAlphabet(_Record):
@@ -99,8 +99,7 @@ class NcPoly(_Record):
     _fields = ("alphabet", "ring", "terms")
 
     def __init__(self, alphabet: WeightedAlphabet, ring: str, terms: frozenset):
-        if ring not in RINGS:
-            raise ValueError(f"ring must be one of {RINGS}, got {ring!r}")
+        _check_ring(ring)
         terms = frozenset(terms)
         for k, word in terms:
             # type() rather than int(), as for letter weights: 1.5 must not pass as 1

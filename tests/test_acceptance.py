@@ -9,7 +9,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from mild2 import acceptance, cli
+from mild2 import acceptance, cli, oracle, quadlie
+from mild2.series import NonRealizableError
 
 
 @pytest.mark.parametrize(
@@ -89,3 +90,33 @@ def test_each_time_limit_fails_just_past_it_and_passes_just_under(monkeypatch, c
     monkeypatch.setattr(acceptance, "time", SimpleNamespace(perf_counter=lambda: next(ticks) * seconds))
     result = criterion()
     assert (result.ok, result.detail) == (detail == "", detail)
+
+
+def _not_realizable(sig, n):
+    raise NonRealizableError(1, -1, "negative")
+
+
+# each case plants one fault in a callee of criterion 6, 7 or 9, which must
+# FAIL and name it
+@pytest.mark.parametrize(
+    "criterion, owner, name, fault, problem",
+    [
+        (acceptance.criterion_6, acceptance, "verify_cent_g", lambda sig, n: False, "product identity fails for e="),
+        (acceptance.criterion_6, acceptance, "verify_cent_g", _not_realizable, "only 0 signatures admitted"),
+        (acceptance.criterion_7, oracle, "independent_in_degree", lambda polys: 0, " degree 2: images dependent; "),
+        (
+            acceptance.criterion_7,
+            acceptance,
+            "y_count_poly",
+            lambda alphabet, n: [c + 1 for c in quadlie.y_count_poly(alphabet, n)],
+            " words vs coefficient ",
+        ),
+        (acceptance.criterion_9, acceptance, "legendre", lambda a, p: 1, "legendre(0, 3) != exhaustive answer; "),
+    ],
+    ids=["cent-g-false", "cent-g-not-realizable", "images-dependent", "y-count-off-by-one", "legendre-constant"],
+)
+def test_a_planted_fault_fails_its_criterion_by_name(monkeypatch, criterion, owner, name, fault, problem):
+    monkeypatch.setattr(owner, name, fault)
+    result = criterion()
+    assert not result.ok and problem in result.detail, result.detail
+    assert result.line().startswith(f"FAIL criterion {result.number}: ")

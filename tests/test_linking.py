@@ -30,7 +30,7 @@ from mild2.linking import (
     ordered_prime_set,
     validate_augmentation,
 )
-from mild2.mildness import MildnessReport, check_mild, parity_partition, rank_criterion
+from mild2.mildness import MildnessReport, check_mild, find_mild_partition, parity_partition, rank_criterion
 from mild2.quadlie import (
     F2,
     NcPoly,
@@ -192,23 +192,39 @@ def test_quadratic_relator_normalization():
         QuadraticRelator(3, (0, 0, 0), {(1, 1)})
     with pytest.raises(ValueError):
         QuadraticRelator(3, (0, 0, 0), {(1, 4)})
+    # a pair's types are checked before it is ordered, so no TypeError escapes
+    for pair, shown in (((1, "2"), "(1, 2)"), ((None, 1), "(None, 1)"), ((1, 2.0), "(1, 2.0)")):
+        with pytest.raises(ValueError, match=re.escape(f"commutator pair {shown} out of range for d = 3")):
+            QuadraticRelator(3, (0, 0, 0), {pair})
+    # over GF(2) a commutator named twice cancels: a set would keep one copy
+    for comms, shown in ((frozenset({(1, 2), (2, 1)}), "[x1,x2]"), ([(2, 3), (1, 3), (3, 2)], "[x2,x3]")):
+        with pytest.raises(ValueError, match=re.escape(f"commutator {shown} named twice")):
+            QuadraticRelator(3, (0, 0, 0), comms)
 
 
-def test_relator_masks_follow_the_documented_layout():
-    rel = QuadraticRelator(4, (0, 1, 0, 1), {(1, 2), (3, 4), (2, 3)}, owner=2)
-    # bit i is letter i; a pair's column bit is 1 << (i - 1) * d + j - 1
-    assert rel.masks == (0b10100, ((0b00110, 1 << 1), (0b01100, 1 << 6), (0b11000, 1 << 11)))
-    assert QuadraticRelator(3, (0, 0, 0), ()).masks == (0, ())
-
-
-def test_masks_stay_out_of_the_record():
-    for rel in koch_presentation(EX1).relators + (QuadraticRelator(3, (1, 0, 1), {(1, 2)}),):
+def test_ranking_stores_nothing_on_the_relators():
+    # the rank criterion keeps its summary in mild2.mildness: every relator it
+    # ranks holds its fields only, with ==, hash, repr and JSON as before
+    koch = [koch_presentation(primes) for primes in (EX1, EX2)]
+    sets = [(QuadraticRelator(3, (1, 0, 1), {(1, 2)}),)]
+    sets += [rels for pres in koch for rels in (pres.relators, eliminate_generator(pres).relators)]
+    # the JSON form holds a square at the owner only, as every Koch relator does
+    koch_ids = {id(rel) for pres in koch for rel in pres.relators}
+    before = [
+        (rel, repr(rel), hash(rel), rel.to_json_dict() if id(rel) in koch_ids else None)
+        for relators in sets
+        for rel in relators
+    ]
+    for pres in koch:
+        check_mild(pres)
+    for relators in sets:
+        check_mild(Presentation(relators[0].d, relators))
+        find_mild_partition(relators)
+    for rel, text, digest, blob in before:
         fresh = QuadraticRelator(rel.d, rel.squares, rel.comms, rel.owner)
-        blob = rel.to_json_dict() if rel.owner else None
-        before = (repr(rel), hash(rel))
-        assert rel.masks  # derived on rel, not on fresh
+        assert set(vars(rel)) == set(rel._fields)
         assert rel == fresh and fresh == rel and len({rel, fresh}) == 1
-        assert (repr(rel), hash(rel)) == before == (repr(fresh), hash(fresh))
+        assert (repr(rel), hash(rel)) == (text, digest) == (repr(fresh), hash(fresh))
         assert blob is None or rel.to_json_dict() == blob == fresh.to_json_dict()
 
 

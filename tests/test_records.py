@@ -178,13 +178,6 @@ def test_which_records_have_a_json_form():
     assert [cls for cls in RECORDS if hasattr(cls, "to_json_dict")] == list(JSON_KEYS)
 
 
-def test_a_cached_property_is_kept_out_of_the_fields():
-    relator = QuadraticRelator(3, (0, 1, 0), {(1, 2)}, 2)
-    assert relator.masks == (1 << 2, ((1 << 1 | 1 << 2, 1 << 1),))
-    assert relator == QuadraticRelator(3, (0, 1, 0), {(1, 2)}, 2)
-    assert repr(relator) == "QuadraticRelator(d=3, squares=(0, 1, 0), comms=frozenset({(1, 2)}), owner=2)"
-
-
 def test_golden_reprs():
     pres = koch_presentation(EX1)
     assert repr(pres) == (
