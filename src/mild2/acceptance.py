@@ -39,9 +39,8 @@ from .quadlie import (
     elimination_basis,
     enumerate_y,
     evaluate,
-    p_mixed,
-    p_quad,
     pi_mul,
+    square,
     unit_alphabet,
     y_count_poly,
 )
@@ -347,22 +346,22 @@ def criterion_9() -> tuple[str, str]:
         s = u + v
         # P is only defined on nonzero elements; u + v = 0 forces u = v,
         # where both sides reduce to [u, u] = 0 and there is nothing to test.
-        if not s.is_zero and p_quad(s) != p_quad(u) + p_quad(v) + bracket(u, v):
+        if not s.is_zero and square(s) != square(u) + square(v) + bracket(u, v):
             ql1_bad += 1
         w = random_homogeneous(F2, rng.randint(1, 3))
-        if bracket(p_quad(u), w) != bracket(u, bracket(u, w)):
+        if bracket(square(u), w) != bracket(u, bracket(u, w)):
             ql2_bad += 1
     mixed_bad = 0
     for _ in range(1000):
         u, v = random_degree1(F2PI), random_degree1(F2PI)
         s = u + v
-        if not s.is_zero and p_mixed(s) != p_mixed(u) + p_mixed(v) + bracket(u, v):
+        if not s.is_zero and square(s) != square(u) + square(v) + bracket(u, v):
             mixed_bad += 1
         uv = bracket(u, v)
-        if not uv.is_zero and bracket(p_mixed(u), v) != p_mixed(uv) + bracket(u, uv):
+        if not uv.is_zero and bracket(square(u), v) != square(uv) + bracket(u, uv):
             mixed_bad += 1
         high = random_homogeneous(F2PI, rng.randint(2, 3))
-        if bracket(p_mixed(high), v) != pi_mul(bracket(high, v)):
+        if bracket(square(high), v) != pi_mul(bracket(high, v)):
             mixed_bad += 1
     if ql1_bad or ql2_bad or mixed_bad:
         problems += f"identity failures: degree-1 sums {ql1_bad}, squares-in-brackets {ql2_bad}, mixed {mixed_bad}; "

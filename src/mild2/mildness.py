@@ -39,7 +39,7 @@ MAX_ENUMERATION_D = 20
 
 
 class Partition(_Record):
-    """Two ascending blocks of the generators 1..d, stored as given; rank_criterion checks them."""
+    """Two blocks of the generators 1..d, each in any order, stored as given; rank_criterion checks them."""
 
     _fields = ("S", "Sp")
 
@@ -97,10 +97,11 @@ def rank_criterion(relators, part: Partition) -> bool:
             s |= code[i]
         for i in part.Sp:
             sp |= code[i]
-    except KeyError:  # a letter outside 1..d
-        s = sp = 0
+        size = len(part.S) + len(part.Sp)
+    except (KeyError, TypeError):  # a letter outside 1..d, or a block that is no sized sequence of letters
+        size = -1
     # d letters whose bits fill bits 1..d are d distinct letters
-    if len(part.S) + len(part.Sp) != d or (s | sp) & ((2 << d) - 1) != (2 << d) - 2:
+    if size != d or (s | sp) & ((2 << d) - 1) != (2 << d) - 2:
         raise ValueError(f"partition {part} is not a partition of 1..{d}")
     if squares & s or s >> d + 1 & s:
         return False

@@ -8,9 +8,10 @@ central degree-1 variable, so every monomial normalizes to this form, and
 the degree is pi_exp plus the total weight of the word.  Over the plain F2
 ring pi_exp is always 0.
 
-The square operator P acts on homogeneous elements: over F2 it is
-P(u) = u*u (degree-1 u only); over F2[pi] it is P(u) = u*u + pi*u in degree
-1 and P(u) = pi*u in higher degrees.  Both satisfy, for degree-1 u, v:
+One square operator P, `square`, acts on nonzero homogeneous elements and
+reads the ring from its operand: over F2[pi] it is P(u) = u*u + pi*u in
+degree 1 and P(u) = pi*u in higher degrees; over F2 it is the pi = 0 case
+P(u) = u*u, defined in degree 1 only.  Both satisfy, for degree-1 u, v:
 
     P(u + v) = P(u) + P(v) + [u, v]
     [P(u), v] = [u, [u, v]]          (over F2)
@@ -169,11 +170,8 @@ def _check_compatible(u: NcPoly, v: NcPoly) -> None:
 def mul(u: NcPoly, v: NcPoly) -> NcPoly:
     """Product by concatenation."""
     _check_compatible(u, v)
-    acc: set[Monomial] = set()
-    for k1, w1 in u.terms:
-        for k2, w2 in v.terms:
-            acc.symmetric_difference_update({(k1 + k2, w1 + w2)})
-    return NcPoly(u.alphabet, u.ring, frozenset(acc))
+    products = ((k1 + k2, w1 + w2) for k1, w1 in u.terms for k2, w2 in v.terms)
+    return NcPoly.from_monomials(u.alphabet, u.ring, products)
 
 
 def pi_mul(u: NcPoly) -> NcPoly:
@@ -188,30 +186,20 @@ def bracket(u: NcPoly, v: NcPoly) -> NcPoly:
     return mul(u, v) + mul(v, u)
 
 
-def _check_p_operand(u: NcPoly) -> int:
+def square(u: NcPoly) -> NcPoly:
+    """The square operator P, the value of a Square word, for nonzero
+    homogeneous u: u*u + pi*u in degree 1 and pi*u above over F2[pi]; u*u
+    over F2, where P is defined in degree 1 only."""
     if u.is_zero:
         raise ValueError("P is not defined on zero")
     if not u.is_homogeneous:
         raise ValueError(f"P needs a homogeneous element, degrees = {u.degrees()}")
-    return u.degree()
-
-
-def p_quad(u: NcPoly) -> NcPoly:
-    """Square operator over F2: P(u) = u*u for homogeneous u of degree 1."""
-    if u.ring != F2:
-        raise ValueError("p_quad is defined over F2; use p_mixed over F2pi")
-    if _check_p_operand(u) != 1:
-        raise ValueError(f"p_quad needs degree 1, got degree {u.degree()}")
+    degree = u.degree()
+    if u.ring == F2PI:
+        return mul(u, u) + pi_mul(u) if degree == 1 else pi_mul(u)
+    if degree != 1:
+        raise ValueError(f"P over F2 needs degree 1, got degree {degree}")
     return mul(u, u)
-
-
-def p_mixed(u: NcPoly) -> NcPoly:
-    """Square operator over F2[pi]: u*u + pi*u in degree 1, pi*u above."""
-    if u.ring != F2PI:
-        raise ValueError("p_mixed is defined over F2pi; use p_quad over F2")
-    if _check_p_operand(u) == 1:
-        return mul(u, u) + pi_mul(u)
-    return pi_mul(u)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +256,7 @@ def evaluate(word: BracketWord, alphabet: WeightedAlphabet, ring: str) -> NcPoly
     if isinstance(word, Square):
         if alphabet.weight(word.arg.index) != 1:
             raise ValueError(f"P(x{word.arg.index}) needs a weight-1 letter")
-        arg = evaluate(word.arg, alphabet, ring)
-        return p_quad(arg) if ring == F2 else p_mixed(arg)
+        return square(evaluate(word.arg, alphabet, ring))
     return bracket(evaluate(word.left, alphabet, ring), evaluate(word.right, alphabet, ring))
 
 

@@ -112,8 +112,19 @@ def _not_realizable(sig, n):
             " words vs coefficient ",
         ),
         (acceptance.criterion_9, acceptance, "legendre", lambda a, p: 1, "legendre(0, 3) != exhaustive answer; "),
+        # between them these two make each of the three identity counters nonzero
+        (acceptance.criterion_9, acceptance, "bracket", quadlie.mul, "identity failures: "),
+        (acceptance.criterion_9, acceptance, "square", lambda u: quadlie.mul(u, u) + u, "identity failures: "),
     ],
-    ids=["cent-g-false", "cent-g-not-realizable", "images-dependent", "y-count-off-by-one", "legendre-constant"],
+    ids=[
+        "cent-g-false",
+        "cent-g-not-realizable",
+        "images-dependent",
+        "y-count-off-by-one",
+        "legendre-constant",
+        "bracket-as-product",
+        "square-plus-operand",
+    ],
 )
 def test_a_planted_fault_fails_its_criterion_by_name(monkeypatch, criterion, owner, name, fault, problem):
     monkeypatch.setattr(owner, name, fault)

@@ -1,6 +1,7 @@
 """Number-theory helpers: primality, residue symbols, Möbius."""
 
 import random
+import time
 
 import pytest
 
@@ -87,6 +88,48 @@ def test_mobius_dirichlet_identity():
     for n in range(1, 300):
         total = sum(mobius(d) for d in range(1, n + 1) if n % d == 0)
         assert total == (1 if n == 1 else 0), n
+
+
+def mobius_by_trial_division(n):
+    """Reference: trial division all the way to the square root of the cofactor."""
+    result, m, d = 1, n, 2
+    while d * d <= m:
+        if m % d == 0:
+            m //= d
+            if m % d == 0:
+                return 0
+            result = -result
+        d += 1 if d == 2 else 2
+    return -result if m > 1 else result
+
+
+def test_mobius_agrees_with_trial_division():
+    rng = random.Random(59)
+    for n in [*range(1, 3000), *(rng.randrange(1, 10**9) for _ in range(300))]:
+        assert mobius(n) == mobius_by_trial_division(n), n
+
+
+def test_mobius_cofactors_above_the_cube_root():
+    # products of large primes leave a cofactor p, p*p or p*q once trial
+    # division stops at the cube root; their answers are known by construction
+    rng = random.Random(61)
+
+    def prime(bits):
+        while True:
+            p = rng.getrandbits(bits) | 1 << bits - 1 | 1
+            if is_prime(p):
+                return p
+
+    for _ in range(60):
+        p, q = prime(24), prime(24)
+        assert mobius(p * q) == (0 if p == q else 1), (p, q)
+        assert mobius(p * p) == 0, p
+        a, b, c = prime(16), prime(16), prime(16)
+        assert mobius(a * b * c) == (-1 if len({a, b, c}) == 3 else 0), (a, b, c)
+        assert mobius(a * a * b) == 0, (a, b)
+    start = time.perf_counter()
+    assert mobius(2**64 - 59) == -1  # the largest prime below 2**64
+    assert time.perf_counter() - start < 2
 
 
 def test_mobius_rejects_nonpositive():

@@ -384,6 +384,17 @@ def test_presentation_owner_uniqueness():
         Presentation(2, (rel, rel))
 
 
+def test_presentation_history_is_a_tuple_of_notes():
+    rel = QuadraticRelator(2, (0, 0), {(1, 2)}, owner=1)
+    pres = Presentation(2, (rel,), (1, 0), history=["eliminated x3"])
+    assert pres.history == ("eliminated x3",)
+    assert hash(pres) == hash(Presentation(2, (rel,), (1, 0), history=("eliminated x3",)))
+    assert eliminate_generator(pres, 1).history == ("eliminated x3", "eliminated x1")
+    for history in ("abc", ["x", 3], (None,)):
+        with pytest.raises(ValueError, match="history"):
+            Presentation(2, (rel,), history=history)
+
+
 def test_presentation_json_round_trip():
     for primes in (EX1, EX2):
         for pres in (koch_presentation(primes), eliminate_generator(koch_presentation(primes))):

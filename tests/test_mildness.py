@@ -52,11 +52,17 @@ def test_partition_validation():
         (2, Partition((1, 1), (2,))),
         (4, Partition((1, 3), (2,))),
         (2, Partition((1,), (2, 3))),
+        # blocks that are not sized sequences of letters
+        (2, Partition(([1],), (2,))),
+        (2, Partition(None, (2,))),
+        (2, Partition(iter((1,)), (2,))),
     ]
     for d, part in cases:
         rel = QuadraticRelator(d, (0,) * d, {(1, 2)})
         with pytest.raises(ValueError, match=f"is not a partition of 1..{d}"):
             rank_criterion((rel,), part)
+    # the blocks need not be ascending
+    assert rank_criterion(reduced_relators(EX1), Partition((3, 1), (4, 2)))
 
 
 def test_parity_partition():

@@ -1,4 +1,4 @@
-"""Free algebra over F2 / F2[pi]: arithmetic, P operators, bases."""
+"""Free algebra over F2 / F2[pi]: arithmetic, the square operator P, bases."""
 
 import itertools
 import random
@@ -24,11 +24,10 @@ from mild2.quadlie import (
     enumerate_y,
     evaluate,
     mul,
-    p_mixed,
-    p_quad,
     pi_mul,
     relator_to_poly,
     render_bracket,
+    square,
     unit_alphabet,
     y_count_poly,
 )
@@ -128,15 +127,11 @@ def test_bracket_properties():
 def test_p_operator_domain_errors():
     x1, x2 = gen(1), gen(2)
     with pytest.raises(ValueError):
-        p_quad(gen(1, F2PI))
+        square(x1 + mul(x1, x2))  # not homogeneous
     with pytest.raises(ValueError):
-        p_mixed(x1)
+        square(mul(x1, x2))  # degree 2
     with pytest.raises(ValueError):
-        p_quad(x1 + mul(x1, x2))  # not homogeneous
-    with pytest.raises(ValueError):
-        p_quad(mul(x1, x2))  # degree 2
-    with pytest.raises(ValueError):
-        p_quad(x1 + x1)  # zero
+        square(x1 + x1)  # zero
     with pytest.raises(ValueError):
         pi_mul(x1)  # wrong ring
 
@@ -149,9 +144,9 @@ def test_quadratic_identities_random():
         v = NcPoly.from_monomials(X, F2, [(0, (i,)) for i in picks()])
         s = u + v
         if not s.is_zero:
-            assert p_quad(s) == p_quad(u) + p_quad(v) + bracket(u, v)
+            assert square(s) == square(u) + square(v) + bracket(u, v)
         w = rand_poly(rng, max_deg=2)
-        assert bracket(p_quad(u), w) == bracket(u, bracket(u, w))
+        assert bracket(square(u), w) == bracket(u, bracket(u, w))
 
 
 def test_mixed_identities_random():
@@ -162,17 +157,17 @@ def test_mixed_identities_random():
         v = NcPoly.from_monomials(X, F2PI, [(0, (i,)) for i in picks()])
         s = u + v
         if not s.is_zero:
-            assert p_mixed(s) == p_mixed(u) + p_mixed(v) + bracket(u, v)
+            assert square(s) == square(u) + square(v) + bracket(u, v)
         uv = bracket(u, v)
         if not uv.is_zero:
-            assert bracket(p_mixed(u), v) == p_mixed(uv) + bracket(u, uv)
+            assert bracket(square(u), v) == square(uv) + bracket(u, uv)
 
 
-def test_p_mixed_shape():
+def test_square_shape_over_f2pi():
     x1 = gen(1, F2PI)
-    assert p_mixed(x1) == mul(x1, x1) + pi_mul(x1)
+    assert square(x1) == mul(x1, x1) + pi_mul(x1)
     x1x2 = mul(x1, gen(2, F2PI))
-    assert p_mixed(x1x2) == pi_mul(x1x2)
+    assert square(x1x2) == pi_mul(x1x2)
 
 
 def test_render_bracket_and_weight():
@@ -192,7 +187,7 @@ def test_evaluate_square_and_bracket():
     x1, x2 = gen(1), gen(2)
     assert poly == mul(mul(x1, x1), x2) + mul(x2, mul(x1, x1))
     # over F2 the same element equals [x1^2, x2]
-    assert poly == bracket(p_quad(x1), x2)
+    assert poly == bracket(square(x1), x2)
     assert str(evaluate(Square(Leaf(1)), X, F2PI)) == "x1.x1 + pi.x1"
 
 
@@ -373,4 +368,4 @@ def test_ql_bridge_between_square_and_bracket():
         i = rng.randint(1, 4)
         u = NcPoly.generator(alphabet, i, F2)
         w = rand_poly(rng, F2, alphabet, max_deg=2)
-        assert bracket(p_quad(u), w) == bracket(u, bracket(u, w))
+        assert bracket(square(u), w) == bracket(u, bracket(u, w))

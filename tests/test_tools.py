@@ -37,6 +37,15 @@ def test_search_times_exits_on_a_wrong_verdict(monkeypatch, answer):
         load_tool(monkeypatch).main(argv + ["--repeats", "1"])
 
 
+@pytest.mark.parametrize("d", [3, 11])
+def test_search_times_reads_the_d_limit_from_the_measured_tree(monkeypatch, capsys, d):
+    monkeypatch.setattr(mildness, "MAX_ENUMERATION_D", 10)
+    with pytest.raises(SystemExit) as exc:
+        load_tool(monkeypatch).main(["--d", str(d), "--koch", "0", "--repeats", "1"])
+    assert exc.value.code == 2
+    assert "--d must lie in 4..10" in capsys.readouterr().err
+
+
 def test_launch_times_prints_the_bare_launch_and_each_command(monkeypatch, capsys):
     tool = load_tool(monkeypatch, "launch_times")
     assert tool.main(["--repeats", "1"]) == 0
