@@ -7,7 +7,13 @@ oracle, basis, selftest.  Exit codes: 0 success (and mild verdicts),
 parity split fails, basis word limit, series size limit) and an allocation
 that fails before a guard stops the request, 70 an unexpected
 internal error (one "error: internal:" line); the oracle subcommand exits 1
-on a dimension mismatch.
+on a dimension mismatch.  Every refusal is one "error: ..." line on stderr.
+
+Each input rule is checked in one place.  The parser declares each shared
+flag once, in a parent parser, and refuses what argparse can: a bad int or
+choice, an unknown or missing flag, --primes with --in.  The library refuses
+the values: a memory cap below 1 in check_mild and the oracle, presentation
+JSON in the records it builds.
 
 A launch loads only what its subcommand runs.  The parser needs arith alone
 (defaults, ring names, guard errors), and each handler imports its own
@@ -27,16 +33,6 @@ from .arith import DEFAULT_MEMORY_CAP_MIB, DEFAULT_PRIME_BOUND, RINGS, BoundExce
 _EXIT_BY_VERDICT = {"mild": 0, "not_shown": 3, "inapplicable": 4}
 _RINGS = {ring.lower(): ring for ring in RINGS}
 DEFAULT_MAX_DEGREE = 6
-
-
-def _memory_cap(text: str) -> int:
-    try:
-        cap = int(text)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return cap
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
@@ -71,17 +67,13 @@ def _load_presentation(args):
 
     from .linking import Presentation, koch_presentation
 
-    if args.infile is not None and args.primes is not None:
-        raise ValueError("give --primes or --in FILE, not both")
-    if args.infile:
+    if args.infile is not None:
         with open(args.infile, "r", encoding="utf-8") as handle:
             try:
                 data = json.load(handle, parse_int=_json_int)
             except RecursionError:
                 raise ValueError(f"{args.infile}: JSON nested too deeply") from None
         return Presentation.from_json_dict(data)
-    if not args.primes:
-        raise ValueError("provide --primes or --in FILE")
     return koch_presentation(_parse_ints(args.primes, "--primes"))
 
 
@@ -268,8 +260,34 @@ def _cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a command line as main refuses other input: one "error: ..."
+    line and exit 2, without the usage block.  Subparsers share the class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mild2", description=__doc__.strip().splitlines()[0])
+    # the flags that several subcommands share, each declared once; --primes
+    # is required alone for linking and present, and against --in for the rest
+    primes = _Parser(add_help=False)
+    primes.add_argument("--primes", required=True, help="comma-separated odd primes")
+    source = _Parser(add_help=False)
+    either = source.add_mutually_exclusive_group(required=True)
+    either.add_argument("--primes", help="comma-separated odd primes")
+    either.add_argument("--in", dest="infile", help="presentation JSON file")
+    oracle_args = _Parser(add_help=False)
+    oracle_args.add_argument("--ring", choices=sorted(_RINGS), default="f2")
+    oracle_args.add_argument("--memory-cap-mib", type=int, default=DEFAULT_MEMORY_CAP_MIB)
+    signature = _Parser(add_help=False)
+    signature.add_argument("--e", help="generator weights, e.g. 1,1,1,1")
+    signature.add_argument("--h", help="relator weights, e.g. 2,2,2,2")
+    signature.add_argument("--d", type=int, help="shorthand: d weight-1 generators")
+    signature.add_argument("--m", type=int, help="shorthand: m degree-2 relators")
+    signature.add_argument("--max", type=int, default=DEFAULT_MAX_DEGREE)
+
+    parser = _Parser(prog="mild2", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, handler, fmt="text", **kwargs):
@@ -278,50 +296,32 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default=fmt)
         return p
 
-    p = add("linking", _cmd_linking, help="square classes and linking matrix of a prime set")
-    p.add_argument("--primes", required=True, help="comma-separated odd primes")
+    add("linking", _cmd_linking, parents=[primes], help="square classes and linking matrix of a prime set")
+    add("present", _cmd_present, parents=[primes], help="quadratic presentation induced by a prime set")
 
-    p = add("present", _cmd_present, help="quadratic presentation induced by a prime set")
-    p.add_argument("--primes", required=True)
-
-    p = add("reduce", _cmd_reduce, help="eliminate one generator through the product relation")
-    p.add_argument("--primes")
-    p.add_argument("--in", dest="infile", help="presentation JSON file")
+    p = add("reduce", _cmd_reduce, parents=[source], help="eliminate one generator through the product relation")
     p.add_argument("--t", type=int, default=None, help="generator to eliminate (default: last usable)")
 
-    p = add("check-mild", _cmd_check_mild, fmt="json", help="run the mildness pipeline")
-    p.add_argument("--primes")
-    p.add_argument("--in", dest="infile")
+    p = add("check-mild", _cmd_check_mild, fmt="json", parents=[source, oracle_args], help="run the mildness pipeline")
     p.add_argument("--oracle-depth", type=int, default=None)
-    p.add_argument("--ring", choices=sorted(_RINGS), default="f2")
-    p.add_argument("--memory-cap-mib", type=_memory_cap, default=DEFAULT_MEMORY_CAP_MIB)
 
     p = add("augment", _cmd_augment, fmt="json", help="search for a mild augmentation of a seed")
     p.add_argument("--seed", required=True, help="comma-separated odd primes")
     p.add_argument("--bound", type=int, default=DEFAULT_PRIME_BOUND)
 
-    p = add("series", _cmd_series, help="strongly free dimension series of a weight signature")
-    p.add_argument("--e", help="generator weights, e.g. 1,1,1,1")
-    p.add_argument("--h", help="relator weights, e.g. 2,2,2,2")
-    p.add_argument("--d", type=int, help="shorthand: d weight-1 generators")
-    p.add_argument("--m", type=int, help="shorthand: m degree-2 relators")
-    p.add_argument("--max", type=int, default=DEFAULT_MAX_DEGREE)
+    p = add("series", _cmd_series, parents=[signature], help="strongly free dimension series of a weight signature")
     p.add_argument("--kind", choices=("strongly-free", "gamma"), default="strongly-free")
 
-    p = add("dims", _cmd_dims, help="derived dimension sequences")
+    p = add("dims", _cmd_dims, parents=[signature], help="derived dimension sequences")
     p.add_argument("--kind", choices=("reduced-b", "lower-central", "zassenhaus"), required=True)
-    p.add_argument("--e")
-    p.add_argument("--h")
-    p.add_argument("--d", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--max", type=int, default=DEFAULT_MAX_DEGREE)
 
-    p = add("oracle", _cmd_oracle, help="quotient dimensions on normal words vs the predicted series")
-    p.add_argument("--primes")
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--ring", choices=sorted(_RINGS), default="f2")
+    p = add(
+        "oracle",
+        _cmd_oracle,
+        parents=[source, oracle_args],
+        help="quotient dimensions on normal words vs the predicted series",
+    )
     p.add_argument("--max", type=int, default=DEFAULT_MAX_DEGREE)
-    p.add_argument("--memory-cap-mib", type=_memory_cap, default=DEFAULT_MEMORY_CAP_MIB)
 
     p = add("basis", _cmd_basis, help="basis-word enumerations")
     p.add_argument("--kind", choices=("y", "elimination"), required=True)

@@ -112,7 +112,7 @@ class QuadraticRelator(_Record):
         pairs = [(min(i, j), max(i, j)) if type(i) is type(j) is int else (i, j) for i, j in comms]
         for i, j in pairs:
             if not (type(i) is type(j) is int and 1 <= i < j <= d):
-                raise ValueError(f"commutator pair ({i}, {j}) out of range for d = {d}")
+                raise ValueError(f"commutator pair {(i, j)!r} out of range for d = {d}")
         # over GF(2) a commutator named twice cancels, which a set would hide
         comms = frozenset(pairs)
         if len(comms) < len(pairs):
@@ -258,9 +258,6 @@ class Presentation(_Record):
             raise ValueError("presentation JSON needs an 'a', 'product_relation' or 'primes' array for d")
         if not all(isinstance(v, list) for v in vectors) or len({len(v) for v in vectors}) > 1:
             raise ValueError("'a', 'product_relation' and 'primes' must be arrays of one length d")
-        # type() rather than isinstance(): JSON true/false must not pass as 1/0
-        if product is not None and any(type(b) is not int or b not in (0, 1) for b in product):
-            raise ValueError("'product_relation' entries must be the integers 0 or 1")
         if primes is not None:
             for p in primes:
                 check_odd_prime(p, "'primes' entry")  # also refuses non-integers and booleans
@@ -280,17 +277,13 @@ class Presentation(_Record):
                 raise ValueError(f"relator {k}: owner, square and comms entries must be integers")
             if square and owner is None:
                 raise ValueError("a square bit needs an owner index to attach to")
-            # a pair listed twice, in either order, sums to zero over GF(2),
-            # while the relator's set of pairs would keep one copy of it
-            listed: dict[tuple[int, int], list[int]] = {}
-            for pair in comms:
-                key = (min(pair), max(pair))
-                if key in listed:
-                    raise ValueError(f"relator {k}: comms list the pair {listed[key]} twice, as {pair}")
-                listed[key] = pair
-            # QuadraticRelator checks the square bit is 0/1 and every index is in 1..d
+            # the record refuses a square bit other than 0/1, an owner or index
+            # out of 1..d and a pair listed twice; the refusal names the relator
             squares = [square if i == owner else 0 for i in range(1, d + 1)]
-            relators.append(QuadraticRelator(d, squares, comms, owner))
+            try:
+                relators.append(QuadraticRelator(d, squares, comms, owner))
+            except ValueError as exc:
+                raise ValueError(f"relator {k}: {exc}") from None
         return cls(d, relators, product, primes)
 
 

@@ -98,7 +98,7 @@ def rank_criterion(relators, part: Partition) -> bool:
         for i in part.Sp:
             sp |= code[i]
         size = len(part.S) + len(part.Sp)
-    except (KeyError, TypeError):  # a letter outside 1..d, or a block that is no sized sequence of letters
+    except (AttributeError, KeyError, TypeError):  # no S/Sp, a letter outside 1..d, or an unsized block
         size = -1
     # d letters whose bits fill bits 1..d are d distinct letters
     if size != d or (s | sp) & ((2 << d) - 1) != (2 << d) - 2:
@@ -213,14 +213,14 @@ def check_mild(
     quotient-dimension oracle runs on the final relators and its agreement
     is recorded in the notes.
     """
+    # the oracle's arguments are refused before the partition search, which
+    # can take seconds, and also where the oracle is skipped or not asked for
     if oracle_depth is not None:
-        # the oracle's arguments are refused before the partition search, which
-        # can take seconds, and also where the oracle is then skipped
         _check_int(oracle_depth, "oracle_depth")
         if oracle_depth < 2:
             raise ValueError(f"oracle_depth must be >= 2, got {oracle_depth}")
-        _check_ring(oracle_ring)
-        _check_memory_cap(memory_cap_mib)
+    _check_ring(oracle_ring)
+    _check_memory_cap(memory_cap_mib)
     notes: list[str] = []
     pres = presentation
     if pres.product_relation is not None and any(pres.product_relation):

@@ -35,10 +35,14 @@ def run(argv):
 
 
 def run_err(argv):
+    """Exit code and stderr; the parser refuses a command line by SystemExit."""
     buffer = io.StringIO()
     errors = io.StringIO()
     with redirect_stdout(buffer), redirect_stderr(errors):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, errors.getvalue().rstrip("\n")
 
 
@@ -163,6 +167,9 @@ def test_missing_file_exit_2(tmp_path):
         {"relators": [{"owner": 1, "square": 1, "comms": [[1, 2]]}]},
         {"a": [0, 0], "relators": [{"square": 0, "comms": [[1, 2], [2, 1]]}]},
         {"a": [0, 0, 0], "relators": [{"comms": [[1, 3]]}, {"comms": [[1, 2], [2, 3], [1, 2]]}]},
+        {"relators": [], "product_relation": [2, 1]},
+        {"a": [0, 0], "relators": [{"owner": 1, "square": False}]},
+        {"a": [0, 0], "relators": [{"owner": "1"}]},
     ],
 )
 def test_malformed_presentation_json_exit_2(tmp_path, blob):
@@ -196,6 +203,17 @@ def test_a_json_integer_past_4300_digits_exits_2(tmp_path):
         ["basis", "--kind", "elimination", "--weights", "1,1", "--sigma", "1", "--max", "-5"],
         ["basis", "--kind", "y", "--weights", "1,1", "--max", "-1"],
         ["series", "--d", "4", "--m", "4", "--max", "-1"],
+        # the parser's refusals: a bad int, a bad choice, an unknown flag, an
+        # unknown subcommand, a missing flag, neither and both of --primes/--in
+        ["check-mild", "--primes", EX1, "--oracle-depth", "x"],
+        ["oracle", "--primes", EX1, "--ring", "f3"],
+        ["series", "--d", "4", "--bogus"],
+        ["nosuch"],
+        ["dims", "--d", "4"],
+        ["oracle"],
+        ["oracle", "--primes", EX1, "--in", "x.json"],
+        # a cap below 1, which check_mild refuses
+        ["check-mild", "--primes", EX1, "--memory-cap-mib", "-4"],
     ],
 )
 def test_unusable_flag_values_exit_2(argv):
@@ -219,7 +237,7 @@ def test_series_and_dims_refuse_impossible_d_and_m(argv, message):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["reduce"], "error: provide --primes or --in FILE"),
+        (["reduce"], "error: one of the arguments --primes --in is required"),
         (["series"], "error: provide --e/--h or --d/--m"),
         (["dims", "--kind", "zassenhaus"], "error: --kind zassenhaus needs --d (and optionally --m)"),
         (["basis", "--kind", "elimination", "--weights", "1,1"], "error: --kind elimination needs --sigma"),
@@ -239,9 +257,9 @@ def test_missing_or_malformed_inputs_exit_2(argv, message):
         (["dims", "--kind", "lower-central", "--e", "1,1", "--d", "2"], "give --e/--h or --d/--m, not both"),
         (["dims", "--kind", "zassenhaus", "--d", "4", "--e", "1,1"], "--kind zassenhaus takes --d/--m, not --e/--h"),
         (["dims", "--kind", "zassenhaus", "--d", "4", "--h", "2"], "--kind zassenhaus takes --d/--m, not --e/--h"),
-        (["reduce", "--primes", EX1, "--in", "pres.json"], "give --primes or --in FILE, not both"),
-        (["check-mild", "--primes", EX1, "--in", "pres.json"], "give --primes or --in FILE, not both"),
-        (["oracle", "--primes", EX1, "--in", "pres.json"], "give --primes or --in FILE, not both"),
+        (["reduce", "--primes", EX1, "--in", "pres.json"], "argument --in: not allowed with argument --primes"),
+        (["check-mild", "--primes", EX1, "--in", "pres.json"], "argument --in: not allowed with argument --primes"),
+        (["oracle", "--primes", EX1, "--in", "pres.json"], "argument --in: not allowed with argument --primes"),
     ],
 )
 def test_flags_of_both_forms_exit_2(tmp_path, argv, message):
@@ -450,16 +468,11 @@ def test_memory_cap_flag_and_env():
     code, out = run(["oracle", "--primes", EX1, "--max", "7", "--memory-cap-mib", "1"])
     assert code == 0 and out.endswith("verdict = match")
     # a cap below 1 MiB is an input error, not a guard stop
-    with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
-        cli.main(["oracle", "--primes", EX1, "--max", "6", "--memory-cap-mib", "0"])
-    assert exc.value.code == 2
+    code, err = run_err(["oracle", "--primes", EX1, "--max", "6", "--memory-cap-mib", "0"])
+    assert (code, err) == (2, "error: memory_cap_mib must be >= 1, got 0")
     # so is a cap that is not a number
-    errors = io.StringIO()
-    with pytest.raises(SystemExit) as exc, redirect_stderr(errors):
-        cli.main(["check-mild", "--primes", EX1, "--memory-cap-mib", "abc"])
-    assert exc.value.code == 2
-    last = errors.getvalue().splitlines()[-1]
-    assert last.endswith("argument --memory-cap-mib: must be a positive integer, got 'abc'")
+    code, err = run_err(["check-mild", "--primes", EX1, "--memory-cap-mib", "abc"])
+    assert (code, err) == (2, "error: argument --memory-cap-mib: invalid int value: 'abc'")
 
 
 def test_a_doomed_oracle_request_is_refused_before_any_degree_is_built():

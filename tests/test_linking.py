@@ -193,7 +193,7 @@ def test_quadratic_relator_normalization():
     with pytest.raises(ValueError):
         QuadraticRelator(3, (0, 0, 0), {(1, 4)})
     # a pair's types are checked before it is ordered, so no TypeError escapes
-    for pair, shown in (((1, "2"), "(1, 2)"), ((None, 1), "(None, 1)"), ((1, 2.0), "(1, 2.0)")):
+    for pair, shown in (((1, "2"), "(1, '2')"), ((None, 1), "(None, 1)"), ((1, 2.0), "(1, 2.0)")):
         with pytest.raises(ValueError, match=re.escape(f"commutator pair {shown} out of range for d = 3")):
             QuadraticRelator(3, (0, 0, 0), {pair})
     # over GF(2) a commutator named twice cancels: a set would keep one copy
@@ -431,10 +431,17 @@ def test_presentation_json_rejects_bad_shapes():
         ({"relators": [{"owner": 1, "comms": [[1, 10**9]]}], "a": [0, 0]}, "out of range for d = 2"),
         ({"relators": [{"owner": 1, "square": 1, "comms": [[1, 2]]}]}, "array for d"),
         ({"relators": [], "a": [0], "primes": [3, 5]}, "of one length d"),
-        ({"relators": [{"comms": [[1, 2], [2, 1]]}], "a": [0, 0]}, r"relator 1: .*pair \[1, 2\] twice"),
-        ({"relators": [{}, {"comms": [[2, 3], [1, 3], [2, 3]]}], "a": [0] * 3}, r"relator 2: .*\[2, 3\] twice"),
+        ({"relators": [{"comms": [[1, 2], [2, 1]]}], "a": [0, 0]}, r"relator 1: commutator \[x1,x2\] named twice"),
+        (
+            {"relators": [{}, {"comms": [[2, 3], [1, 3], [2, 3]]}], "a": [0] * 3},
+            r"relator 2: commutator \[x2,x3\] named twice",
+        ),
         ({"primes": [3, 3], "relators": []}, r"'primes' entries must be distinct, got \[3, 3\]"),
         ({"a": [0, 0], "relators": [{"comms": [1, 2]}]}, "relator 1: comms must be an array of index pairs"),
+        # the records' own refusals name the relator too
+        ({"a": [0, 0], "relators": [{"owner": 9, "comms": [[1, 2]]}]}, r"^relator 1: owner 9 out of range 1\.\.2$"),
+        ({"a": [0, 0], "relators": [{}, {"owner": 2, "square": 2}]}, "^relator 2: squares entries must be the integers"),
+        ({"a": [0, 0], "relators": [{}, {"owner": 1, "comms": [[1, 3]]}]}, r"^relator 2: commutator pair \(1, 3\) out"),
     ],
 )
 def test_presentation_json_errors_name_the_failing_check(blob, message):

@@ -56,6 +56,8 @@ def test_partition_validation():
         (2, Partition(([1],), (2,))),
         (2, Partition(None, (2,))),
         (2, Partition(iter((1,)), (2,))),
+        # no Partition at all: a pair of blocks has no S or Sp
+        (2, ((1,), (2,))),
     ]
     for d, part in cases:
         rel = QuadraticRelator(d, (0,) * d, {(1, 2)})

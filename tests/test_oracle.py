@@ -613,6 +613,13 @@ BEYOND_SEARCH = Presentation(21, [QuadraticRelator(21, (0,) * 21, {(1, 3)})])
             (BEYOND_SEARCH,),
             "memory_cap_mib must be >= 1, got -3",
         ),
+        # and also where no oracle is asked for
+        (partial(check_mild, memory_cap_mib=0), (koch_presentation(EX1),), "memory_cap_mib must be >= 1, got 0"),
+        (
+            partial(check_mild, oracle_ring="F3"),
+            (koch_presentation(EX1),),
+            "ring must be one of ('F2', 'F2pi'), got 'F3'",
+        ),
     ],
 )
 def test_oracle_refusals_name_the_failing_check(call, args, message):
