@@ -30,6 +30,19 @@ RINGS = (F2, F2PI)
 # Strong-pseudoprime witnesses; this set is known to be exact for every
 # n < 3_317_044_064_679_887_385_961_981, which covers the full 64-bit range.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# (psi_k, k): the first k witnesses are exact for every n < psi_k, the least
+# strong pseudoprime to all of them (Jaeschke 1993); psi_8 = psi_7, and past
+# psi_9 all twelve are used
+_WITNESS_PREFIXES = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+)
 
 
 class BoundExceededError(RuntimeError):
@@ -113,17 +126,22 @@ def _record_json(record) -> dict:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for 2 <= n <= 2**64 - 1."""
+    """Deterministic Miller-Rabin primality test for 2 <= n <= 2**64 - 1.
+
+    Trial division by the witnesses comes first; Miller-Rabin then runs on
+    the shortest prefix of them proven exact below n: one round for n < 2047,
+    all twelve only from psi_9 = 3825123056546413051 up."""
     _check_range(n)
     if n < 2:
         raise ValueError(f"is_prime requires n >= 2, got {n}")
     for p in _WITNESSES:
         if n % p == 0:
             return n == p
+    k = next((k for psi, k in _WITNESS_PREFIXES if n < psi), len(_WITNESSES))
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _WITNESSES:
+    for a in _WITNESSES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -81,14 +81,18 @@ def _nonsquare(p: int, q: int) -> bool:
 
 
 def linking_data(primes) -> LinkingData:
-    """Compute square classes and the linking matrix (diagonal fixed to 0)."""
+    """Compute square classes and the linking matrix (diagonal fixed to 0).
+
+    One Euler criterion per unordered pair: quadratic reciprocity gives
+    (p/q)(q/p) = -1 exactly when p = q = 3 (mod 4), so l_ji = l_ij XOR
+    (a_i AND a_j)."""
     ps = ordered_prime_set(primes)
     a = tuple(1 if p % 4 == 3 else 0 for p in ps)
-    ell = tuple(
-        tuple(0 if i == j else int(_nonsquare(p, q)) for j, q in enumerate(ps))
-        for i, p in enumerate(ps)
-    )
-    return LinkingData(ps, a, ell)
+    ell = [[0] * len(ps) for _ in ps]
+    for i, j in itertools.combinations(range(len(ps)), 2):
+        ell[i][j] = int(_nonsquare(ps[i], ps[j]))
+        ell[j][i] = ell[i][j] ^ (a[i] & a[j])
+    return LinkingData(ps, a, tuple(map(tuple, ell)))
 
 
 class QuadraticRelator(_Record):
@@ -276,7 +280,7 @@ class Presentation(_Record):
             if any(type(i) is not int for i in ints):
                 raise ValueError(f"relator {k}: owner, square and comms entries must be integers")
             if square and owner is None:
-                raise ValueError("a square bit needs an owner index to attach to")
+                raise ValueError(f"relator {k}: a square bit needs an owner index to attach to")
             # the record refuses a square bit other than 0/1, an owner or index
             # out of 1..d and a pair listed twice; the refusal names the relator
             squares = [square if i == owner else 0 for i in range(1, d + 1)]

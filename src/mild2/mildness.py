@@ -24,6 +24,10 @@ that one OR over S shows a square or a commutator inside S; and per relator,
 per commutator [xi, xj], i < j, its pair bits i and j and its column bit
 1 << (i - 1) * d + j - 1 in a GF(2) int row of d * d columns.  For an S that
 passes, each nonzero pair & S adds a crossing commutator's column to the row.
+The summary also ranks the m full rows, each relator's columns all set, once.
+S's rows are those full rows restricted to the crossing columns, and a
+projection onto columns cannot raise rank, so when the full rows have rank
+< m no valid S passes: every partition then costs only its validity check.
 """
 
 from __future__ import annotations
@@ -44,7 +48,11 @@ class Partition(_Record):
     _fields = ("S", "Sp")
 
     def __init__(self, S: tuple[int, ...], Sp: tuple[int, ...]):
-        self.__dict__.update(S=S, Sp=Sp)
+        # two item stores, not update(S=..., Sp=...): the search builds one
+        # record per partition, 2^d of them, and the keyword dict costs a third
+        fields = self.__dict__
+        fields["S"] = S
+        fields["Sp"] = Sp
 
     to_json_dict = _record_json
 
@@ -74,7 +82,9 @@ def rank_criterion(relators, part: Partition) -> bool:
 
     S is ORed from the letter codes of the summary (module docstring); only a
     partition with no square and no neighbour in S builds its rows from the
-    column bits of its crossing commutators and ranks them."""
+    column bits of its crossing commutators and ranks them, and only when the
+    relators' full commutator rows have rank m: S's rows are their
+    restriction to the crossing columns, which cannot raise the rank."""
     global _memo
     relators = tuple(relators)
     if not relators:
@@ -89,8 +99,11 @@ def rank_criterion(relators, part: Partition) -> bool:
                 near[i] |= 1 << j
                 near[j] |= 1 << i
             entries.append([(1 << i | 1 << j, 1 << (i - 1) * d + j - 1) for i, j in rel.comms])
-        memo = _memo = (relators, (d, squares, {i: 1 << i | near[i] << d + 1 for i in range(1, d + 1)}, entries))
-    d, squares, code, entries = memo[1]
+        full = [sum(col for _, col in pairs) for pairs in entries]  # distinct bits: the sum is the OR
+        short = len(gf2.echelon(full)) < len(relators)
+        code = {i: 1 << i | near[i] << d + 1 for i in range(1, d + 1)}
+        memo = _memo = (relators, (d, squares, code, entries, short))
+    d, squares, code, entries, short = memo[1]
     s = sp = 0
     try:
         for i in part.S:
@@ -103,7 +116,12 @@ def rank_criterion(relators, part: Partition) -> bool:
     # d letters whose bits fill bits 1..d are d distinct letters
     if size != d or (s | sp) & ((2 << d) - 1) != (2 << d) - 2:
         raise ValueError(f"partition {part} is not a partition of 1..{d}")
-    if squares & s or s >> d + 1 & s:
+    # A valid S has no squared letter and no commutator inside S, so every
+    # pair meeting S crosses to Sp: relator k's row is its full row (all of
+    # its commutator columns) restricted to the crossing columns.  Restricting
+    # to columns is a projection and cannot raise rank, so rank(S) <= the
+    # rank of the m full rows, and when that is short of m no S passes.
+    if short or squares & s or s >> d + 1 & s:
         return False
     rows = []
     for pairs in entries:

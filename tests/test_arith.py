@@ -17,9 +17,10 @@ def sieve(limit):
     return [n for n, f in enumerate(flags) if f]
 
 
-def test_is_prime_matches_sieve_below_10000():
-    primes = set(sieve(10000))
-    for n in range(2, 10001):
+def test_is_prime_matches_sieve_below_200000():
+    # one Miller-Rabin base below 2047, two up to 1373653
+    primes = set(sieve(200000))
+    for n in range(2, 200000):
         assert is_prime(n) == (n in primes), n
 
 
@@ -30,6 +31,21 @@ def test_is_prime_known_large_values():
     # strong pseudoprimes to several bases, all composite
     for n in (3215031751, 3825123056546413051, 341550071728321):
         assert not is_prime(n), n
+
+
+# psi_k for k = 1..7 and 9: the least strong pseudoprime to the first k prime
+# bases (Jaeschke 1993); is_prime runs k bases below psi_k
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321, 3825123056546413051)
+
+
+def test_is_prime_refuses_each_bound_of_its_witness_prefixes():
+    # psi_k passes the first k bases, so a prefix chosen by n <= psi_k would
+    # call it prime (2047 = 23 * 89 is already caught by trial division)
+    for n in PSI:
+        assert not is_prime(n), n
+    # 8321 = 53 * 157 is a strong pseudoprime to base 2 (2^(65*2) = -1 mod
+    # 8321) with no factor among the witnesses: base 3 refuses it
+    assert pow(2, 130, 8321) == 8320 and not is_prime(8321)
 
 
 def test_is_prime_rejects_out_of_range():

@@ -152,6 +152,27 @@ def test_linking_data_matches_definition_randomly():
                     assert data.ell[i][j] == (1 if legendre(p, q) == -1 else 0)
 
 
+def test_linking_data_by_reciprocity_matches_the_euler_criterion_both_ways():
+    # linking_data ranks one order of each pair and fills the other by
+    # reciprocity; both orders are checked here, over both classes mod 4
+    rng = random.Random(71)
+    pool = [p for p in range(3, 2000, 2) if is_prime(p)]
+    ones, threes = [p for p in pool if p % 4 == 1], [p for p in pool if p % 4 == 3]
+    flipped = 0
+    for _ in range(300):
+        d = rng.randint(2, 12)
+        k = rng.randint(1, d - 1)
+        primes = rng.sample(ones, k) + rng.sample(threes, d - k)
+        rng.shuffle(primes)
+        ell = linking_data(primes).ell
+        for i, p in enumerate(primes):
+            for j, q in enumerate(primes):
+                if i != j:
+                    assert ell[i][j] == (legendre(p, q) == -1), (primes, i, j)
+                    flipped += ell[i][j] != ell[j][i]
+    assert flipped > 0
+
+
 @pytest.mark.parametrize("primes", [(), (3, 3), (2, 5), (9, 5), (5, 2**64 + 1)])
 def test_linking_data_refuses_what_ordered_prime_set_refuses(primes):
     with pytest.raises(ValueError):
@@ -442,6 +463,7 @@ def test_presentation_json_rejects_bad_shapes():
         ({"a": [0, 0], "relators": [{"owner": 9, "comms": [[1, 2]]}]}, r"^relator 1: owner 9 out of range 1\.\.2$"),
         ({"a": [0, 0], "relators": [{}, {"owner": 2, "square": 2}]}, "^relator 2: squares entries must be the integers"),
         ({"a": [0, 0], "relators": [{}, {"owner": 1, "comms": [[1, 3]]}]}, r"^relator 2: commutator pair \(1, 3\) out"),
+        ({"a": [0, 0], "relators": [{}, {"square": 1}]}, "^relator 2: a square bit needs an owner"),
     ],
 )
 def test_presentation_json_errors_name_the_failing_check(blob, message):

@@ -592,3 +592,100 @@ def test_search_ranks_each_partition_once_in_the_documented_order(monkeypatch, d
             assert witness == order[stop] and calls == order[: stop + 1]
         stops.add(stop)
     assert None in stops and len(stops) > 2
+
+
+def full_rows_rank(relators):
+    """Rank of the relators' full commutator rows, one column per pair."""
+    pairs = sorted(set().union(*(rel.comms for rel in relators)))
+    return dense_rank([[int(pair in rel.comms) for pair in pairs] for rel in relators]) if pairs else 0
+
+
+def dependent_sets():
+    """Relator sets whose full commutator rows have rank below m: a repeated
+    relator, a square-only relator, and one relator the symmetric difference
+    of two others, fixed and seeded at random."""
+    r = QuadraticRelator(5, (0,) * 5, {(1, 2), (3, 4)})
+    a = QuadraticRelator(5, (0, 0, 1, 0, 0), {(1, 2), (2, 5)})
+    b = QuadraticRelator(5, (0,) * 5, {(2, 5), (3, 4), (1, 5)})
+    sets = [
+        (r, r),
+        (r, a, r),
+        (QuadraticRelator(5, (1, 0, 0, 0, 0), set()), r),
+        (QuadraticRelator(5, (0, 0, 0, 0, 1), set()), a, b),
+        (a, b, QuadraticRelator(5, (0,) * 5, a.comms ^ b.comms)),
+    ]
+    rng = random.Random(61)
+    for rels in random_relator_sets(rng, 60, 3, 7):
+        if len(rels) >= 2:
+            x, y = rng.sample(rels, 2)
+            squares = tuple(int(rng.random() < 0.1) for _ in range(x.d))
+            sets.append(rels + (QuadraticRelator(x.d, squares, x.comms ^ y.comms),))
+    return sets
+
+
+def is_valid_s(relators, part):
+    """No squared letter and no commutator inside S: the criterion's two rejects."""
+    return not any(
+        any(rel.squares[i - 1] for i in part.S) or any(i in part.S and j in part.S for i, j in rel.comms)
+        for rel in relators
+    )
+
+
+def test_dependent_full_rows_give_the_reference_answers_on_every_partition():
+    reached = 0
+    for rels in dependent_sets():
+        assert full_rows_rank(rels) < len(rels), rels
+        for part in all_partitions(rels[0].d):
+            assert rank_criterion(tuple(rels), part) is rank_criterion_reference(rels, part) is False, (rels, part)
+            reached += is_valid_s(rels, part)
+    # hundreds of partitions pass both checks: only the bound refuses those
+    assert reached > 300
+
+
+def test_dependent_sets_refuse_an_invalid_partition_first():
+    for rels in dependent_sets():
+        d, fresh = rels[0].d, tuple(list(rels))  # a new tuple: the first call builds its summary
+        for part in (Partition(tuple(range(1, d)), ()), Partition((1,), tuple(range(1, d + 1))), Partition((), (0,))):
+            with pytest.raises(ValueError) as exc:
+                rank_criterion(fresh, part)
+            assert str(exc.value) == f"partition {part} is not a partition of 1..{d}"
+
+
+def test_search_ranks_rows_only_when_the_full_rows_reach_rank_m(monkeypatch):
+    from mild2 import gf2
+
+    calls = []
+    real = gf2.echelon
+
+    def spy(rows):
+        rows = list(rows)
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(gf2, "echelon", spy)
+    for rels in dependent_sets():
+        calls.clear()
+        assert find_mild_partition(list(rels)) is None  # a new tuple: its summary is built here
+        assert len(calls) == 1 and len(calls[0]) == len(rels), rels
+
+    def d3(pair):
+        return QuadraticRelator(3, (0, 0, 0), {pair})
+
+    independent = [
+        (d3((1, 2)), d3((1, 3)), d3((2, 3))),  # rank 3 in full, at most 2 for any S: no witness
+        tuple(reduced_relators(EX1)),
+        tuple(cycle_relators(6)),
+        *(rels for rels in random_relator_sets(random.Random(67), 40, 2, 6) if full_rows_rank(rels) == len(rels)),
+    ]
+    stops = set()
+    for rels in independent:
+        d = rels[0].d
+        order = [parity_partition(d)] + list(all_partitions(d))
+        stop = next((k for k, part in enumerate(order) if rank_criterion_reference(rels, part)), len(order) - 1)
+        stops.add(stop == len(order) - 1)  # True: no witness
+        calls.clear()
+        find_mild_partition(list(rels))
+        # the summary's full rows, then one ranking per valid partition up to the witness
+        assert len(calls) == 1 + sum(is_valid_s(rels, part) for part in order[: stop + 1]), rels
+        assert all(len(rows) == len(rels) for rows in calls)
+    assert stops == {True, False}

@@ -25,6 +25,8 @@ def test_search_times_reports_each_case(monkeypatch, capsys):
     assert load_tool(monkeypatch).main(["--d", "4", "--d", "5", "--koch", "18", "--repeats", "1"]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
     assert [row[:3] for row in rows[1:]] == [["worst", "d=4", "17"], ["worst", "d=5", "33"], ["koch", "x18", "15764"]]
+    # the last column: the sets whose full commutator rows are dependent
+    assert [row[-1] for row in rows] == ["dependent", "1/1", "1/1", "3/18"]
 
 
 @pytest.mark.parametrize("answer", [True, False])

@@ -14,7 +14,9 @@ untimed pass, which counts the partitions ranked and checks every verdict:
 None for the worst case, and for a Koch set a witness exactly when a maximal
 valid S (one avoiding the squared letters and every commutator) passes an
 explicit-basis rank test written here, which the witness must pass too.  A
-mismatch stops the script with exit 1.
+mismatch stops the script with exit 1.  The last column counts the sets
+whose full commutator rows are dependent (rank < m): the rank criterion
+refuses their partitions without ranking rows, so the figure depends on the mix.
 """
 
 from __future__ import annotations
@@ -65,9 +67,20 @@ def passes(relators, S: frozenset) -> bool:
     if any(i in S and j in S for rel in relators for i, j in rel.comms):
         return False
     columns = {(min(i, j), max(i, j)): k for k, (i, j) in enumerate((i, j) for i in sorted(S) for j in Sp)}
+    return independent([sum(1 << columns[pair] for pair in rel.comms if pair in columns) for rel in relators])
+
+
+def full_rows_dependent(relators) -> bool:
+    """The relators' full commutator rows, every pair of each, have rank < m:
+    then no S passes, since S's rows are their restriction to S x Sp."""
+    pairs = sorted(set().union(*(rel.comms for rel in relators)))
+    return not independent([sum(1 << k for k, pair in enumerate(pairs) if pair in rel.comms) for rel in relators])
+
+
+def independent(rows) -> bool:
+    """Whether int rows are linearly independent over GF(2)."""
     basis: dict[int, int] = {}  # leading bit -> row
-    for rel in relators:
-        row = sum(1 << columns[pair] for pair in rel.comms if pair in columns)
+    for row in rows:
         while row and row.bit_length() in basis:
             row ^= basis[row.bit_length()]
         if not row:
@@ -171,13 +184,16 @@ def main(argv=None) -> int:
         f" Python {platform.python_version()}, {os.cpu_count()} CPUs"
     )
     print(f"# {src}")
-    print(f"{'case':<20}{'partitions':>11}{'median ms':>11}{'us/part':>9}{'q1':>7}{'q3':>7}")
+    print(f"{'case':<20}{'partitions':>11}{'median ms':>11}{'us/part':>9}{'q1':>7}{'q3':>7}{'dependent':>11}")
     for name, sets, expect in cases:
         partitions = counted_pass(mildness, sets, expect)
         per_part = sorted(s / partitions * 1e6 for s in timed(mildness, sets, args.repeats))
         q1, _, q3 = statistics.quantiles(per_part, n=4) if len(per_part) > 1 else per_part * 3
         median = statistics.median(per_part)
-        print(f"{name:<20}{partitions:>11}{median * partitions / 1e3:>11.2f}{median:>9.2f}{q1:>7.2f}{q3:>7.2f}")
+        mix = f"{sum(map(full_rows_dependent, sets))}/{len(sets)}"
+        print(
+            f"{name:<20}{partitions:>11}{median * partitions / 1e3:>11.2f}{median:>9.2f}{q1:>7.2f}{q3:>7.2f}{mix:>11}"
+        )
     return 0
 
 
